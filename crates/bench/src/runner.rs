@@ -9,8 +9,8 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
@@ -547,33 +547,97 @@ fn telemetry_from_env() -> bool {
     })
 }
 
-/// Shared counters behind live progress reporting. Workers only touch these
-/// when progress is enabled for the run; the reporter thread reads them
-/// relaxed — approximate mid-run snapshots are fine, the final publish
-/// happens after every worker has joined.
-#[derive(Default)]
+/// Shared state behind live progress reporting. Workers only touch it when
+/// progress is enabled for the run: each completed pair bumps the counters
+/// and, at most once per reporter interval, publishes a `running` snapshot
+/// (relaxed counts; the main thread publishes the exact final `done` after
+/// every worker has joined).
 struct ProgressShared {
     pairs_done: AtomicU64,
     layers_done: AtomicU64,
     retries: AtomicU64,
     failures: AtomicU64,
     slow: AtomicU64,
+    /// Run-relative microseconds before which no worker publishes. It
+    /// starts one interval in, so a run shorter than that writes only its
+    /// final status.
+    next_publish_us: AtomicU64,
+    reporter: Mutex<ant_obs::StatusReporter>,
 }
 
-/// The reporter thread: periodically snapshots [`ProgressShared`] into a
-/// [`ant_obs::RunStatus`] and lets the rate-limited reporter publish it.
-/// The final `"done"` status is published by the main thread after merge,
-/// not here, so the file always ends on post-join exact counts.
-fn progress_loop(
-    stop: &AtomicBool,
-    shared: &ProgressShared,
-    reporter: &mut ant_obs::StatusReporter,
-    base: &ant_obs::RunStatus,
-    run_start: &Instant,
-) {
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(50));
-        reporter.maybe_publish(&snapshot_status(shared, base, run_start, "running"));
+impl ProgressShared {
+    fn new(console: bool) -> Self {
+        let mut reporter = ant_obs::StatusReporter::new(ant_obs::progress::status_file());
+        reporter.set_console(console);
+        ProgressShared {
+            pairs_done: AtomicU64::new(0),
+            layers_done: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
+            slow: AtomicU64::new(0),
+            next_publish_us: AtomicU64::new(PROGRESS_INTERVAL_US),
+            reporter: Mutex::new(reporter),
+        }
+    }
+
+    /// Called by a worker after each pair. Costs one clock read and one
+    /// relaxed load until a publish is due; then only the worker that
+    /// claims the slot builds and writes the snapshot.
+    fn pair_done(&self, base: &ant_obs::RunStatus, run_start: &Instant) {
+        let now_us = run_start.elapsed().as_micros() as u64;
+        let due = self.next_publish_us.load(Ordering::Relaxed);
+        if now_us < due
+            || self
+                .next_publish_us
+                .compare_exchange(
+                    due,
+                    now_us + PROGRESS_INTERVAL_US,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_err()
+        {
+            return;
+        }
+        let status = snapshot_status(self, base, run_start, "running");
+        self.publish(&status);
+    }
+
+    fn publish(&self, status: &ant_obs::RunStatus) {
+        self.reporter
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .publish(status);
+    }
+}
+
+/// Spacing of the mid-run `running` snapshots, in microseconds.
+const PROGRESS_INTERVAL_US: u64 = ant_obs::StatusReporter::DEFAULT_INTERVAL.as_micros() as u64;
+
+/// A one-shot stop flag a helper thread can sleep on: [`StopSignal::wait`]
+/// returns as soon as [`StopSignal::stop`] is called, not at the end of
+/// its tick, so joining the helper never waits out a sleep.
+#[derive(Default)]
+struct StopSignal {
+    stopped: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl StopSignal {
+    fn stop(&self) {
+        *self.stopped.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        self.cv.notify_all();
+    }
+
+    /// Blocks until stopped or until `timeout` passes; returns whether the
+    /// signal was stopped.
+    fn wait(&self, timeout: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap_or_else(|p| p.into_inner());
+        let (stopped, _) = self
+            .cv
+            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
+            .unwrap_or_else(|p| p.into_inner());
+        *stopped
     }
 }
 
@@ -849,17 +913,14 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         let stored = slots[li].set(work);
         debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
     };
-    if synth_workers == 1 {
-        // Single worker: run inline, skipping the thread-spawn overhead
-        // (which dominates sub-millisecond workloads).
+    // The calling thread is one of the synthesis workers, so a single
+    // worker spawns nothing (thread spawns dominate sub-millisecond work).
+    std::thread::scope(|scope| {
+        for _ in 1..synth_workers {
+            scope.spawn(synth_loop);
+        }
         synth_loop();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..synth_workers {
-                scope.spawn(synth_loop);
-            }
-        });
-    }
+    });
     let mut layer_work: Vec<Option<LayerWork>> = Vec::with_capacity(net.layers.len());
     for slot in slots {
         match slot.into_inner() {
@@ -938,8 +999,8 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
 
     // Live-progress state: per-layer outstanding-job counters (a layer is
     // "done" when its last pair lands) plus the run-wide shared counters
-    // the reporter thread snapshots. Resumed layers count as done up front.
-    let progress_shared = progress.then(ProgressShared::default);
+    // workers publish from. Resumed layers count as done up front.
+    let progress_shared = progress.then(|| ProgressShared::new(progress_requested));
     let layer_remaining: Vec<AtomicU64> = (0..net.layers.len())
         .map(|_| AtomicU64::new(0))
         .collect();
@@ -1003,7 +1064,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         })
         .collect();
     let watch: Vec<WatchSlot> = (0..workers).map(|_| WatchSlot::default()).collect();
-    let stop_helpers = AtomicBool::new(false);
+    let stop_watchdog = StopSignal::default();
     let worker_body = |me: usize| -> WorkerOutput {
         let worker_started = Instant::now();
         let mut worker_span = ant_obs::span("steal_worker");
@@ -1155,6 +1216,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
                 if layer_remaining[task.layer].fetch_sub(1, Ordering::Relaxed) == 1 {
                     shared.layers_done.fetch_add(1, Ordering::Relaxed);
                 }
+                shared.pair_done(&status_base, &started);
             }
         }
         if telemetry {
@@ -1176,47 +1238,30 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         }
         out
     };
-    let outputs: Vec<WorkerOutput> = if workers == 1 && budget_us.is_none() && !progress {
-        // Single worker, no watchdog, no live reporter: the deque drains
-        // front-to-back inline, identical to the spawned path minus the
-        // thread round-trip.
-        vec![worker_body(0)]
+    // The calling thread is worker 0; only workers 1.. and the watchdog are
+    // spawned. A single worker with no watchdog runs entirely inline.
+    let joined: Vec<std::thread::Result<WorkerOutput>> = if workers == 1 && budget_us.is_none() {
+        vec![catch_unwind(AssertUnwindSafe(|| worker_body(0)))]
     } else {
-        std::thread::scope(|scope| -> Result<Vec<WorkerOutput>, AntError> {
+        std::thread::scope(|scope| {
             let worker_body = &worker_body;
             if let Some(budget) = budget_us {
-                let watch = &watch;
-                let stop = &stop_helpers;
-                let run_start = &started;
+                let (stop, watch, run_start) = (&stop_watchdog, &watch, &started);
                 scope.spawn(move || watchdog_loop(stop, watch, run_start, budget));
             }
-            if let Some(shared) = &progress_shared {
-                let stop = &stop_helpers;
-                let base = &status_base;
-                let run_start = &started;
-                scope.spawn(move || {
-                    let mut reporter = ant_obs::StatusReporter::new(
-                        ant_obs::progress::status_file(),
-                    );
-                    reporter.set_console(progress_requested);
-                    progress_loop(stop, shared, &mut reporter, base, run_start);
-                });
-            }
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (1..workers)
                 .map(|me| scope.spawn(move || worker_body(me)))
                 .collect();
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            stop_helpers.store(true, Ordering::Release);
+            let mut joined = vec![catch_unwind(AssertUnwindSafe(|| worker_body(0)))];
+            joined.extend(handles.into_iter().map(|h| h.join()));
+            stop_watchdog.stop();
             joined
-                .into_iter()
-                .map(|j| {
-                    j.map_err(|payload| {
-                        AntError::from_panic("steal worker", payload.as_ref())
-                    })
-                })
-                .collect()
-        })?
+        })
     };
+    let outputs: Vec<WorkerOutput> = joined
+        .into_iter()
+        .map(|j| j.map_err(|payload| AntError::from_panic("steal worker", payload.as_ref())))
+        .collect::<Result<_, _>>()?;
 
     // Deterministic failure report: worker attribution depends on steal
     // order, but the set of failed jobs does not, so sorting by job
@@ -1429,9 +1474,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         status.quarantined = merged.failures.failures.len() as u64;
         status.retries = merged.failures.retries;
         status.watchdog_slow = merged.failures.slow.len() as u64;
-        let mut reporter = ant_obs::StatusReporter::new(ant_obs::progress::status_file());
-        reporter.set_console(progress_requested);
-        reporter.publish(&status);
+        shared.publish(&status);
     }
     if span.is_recording() {
         span.record("layers", net.layers.len());
@@ -1484,11 +1527,10 @@ fn record_worker_metrics(workers: &[WorkerTelemetry]) {
 /// job) when one exceeds the wall budget. Jobs are flagged, not killed —
 /// a stuck job holds no cancellable resources, and the warning is the
 /// operator's cue to lower the workload or raise the budget.
-fn watchdog_loop(stop: &AtomicBool, watch: &[WatchSlot], run_start: &Instant, budget_us: u64) {
+fn watchdog_loop(stop: &StopSignal, watch: &[WatchSlot], run_start: &Instant, budget_us: u64) {
     let mut warned: std::collections::HashSet<u64> = std::collections::HashSet::new();
     let tick = Duration::from_micros((budget_us / 4).clamp(1_000, 50_000));
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
+    while !stop.wait(tick) {
         let now_us = run_start.elapsed().as_micros() as u64;
         for (w, slot) in watch.iter().enumerate() {
             let start_plus_one = slot.start_us.load(Ordering::Acquire);
@@ -2010,6 +2052,26 @@ mod tests {
                 assert_eq!(a, b, "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn stop_signal_wakes_a_waiter_blocked_on_a_long_timeout() {
+        // The waiter's timeout is an hour, so only `stop` can end its wait
+        // in time: a lost wakeup hangs this test rather than passing it.
+        let signal = StopSignal::default();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                barrier.wait();
+                signal.wait(Duration::from_secs(3600))
+            });
+            barrier.wait();
+            signal.stop();
+            assert!(waiter.join().unwrap(), "the wait ended on the stop");
+        });
+        // A stopped signal answers at once; an unstopped one times out.
+        assert!(signal.wait(Duration::from_secs(3600)));
+        assert!(!StopSignal::default().wait(Duration::from_millis(1)));
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //! Every job persists a record under the spool directory
 //! (`job-<seq>.json`, schema [`JOB_SCHEMA`]) and checkpoints per grid cell
 //! (`ckpt-<spec-hash>-c<cell>.jsonl`, the PR 5 `ant-checkpoint/1` format,
-//! keyed by [`JobSpec::content_hash`]). On restart the daemon scans the
-//! spool: terminal jobs load for serving, interrupted jobs re-enqueue and
-//! resume from their checkpoints — results are byte-identical to an
-//! uninterrupted run because completed layers merge from the sidecar and
-//! per-layer seeds derive from layer index alone.
+//! keyed by [`JobSpec::content_hash`]). The spool is the record of finished
+//! jobs: memory holds the live jobs plus the last [`RECENT_JOBS`] finished
+//! ones, and `GET /jobs/{id}` reads older jobs back from their records. On
+//! restart the daemon scans the spool: the recent terminal jobs load for
+//! serving, interrupted jobs re-enqueue and resume from their checkpoints —
+//! results are byte-identical to an uninterrupted run because completed
+//! layers merge from the sidecar and per-layer seeds derive from layer
+//! index alone.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,6 +55,16 @@ pub const RESULT_SCHEMA: &str = "ant-sweepd-result/1";
 
 /// Completed-job durations kept for the rolling ETA estimate.
 const DURATION_WINDOW: usize = 16;
+
+/// Finished jobs kept in memory once their record is in the spool. Older
+/// ones leave memory, so the daemon's footprint follows its live work, not
+/// its history; `GET /jobs/{id}` still serves them from the spool.
+pub const RECENT_JOBS: usize = 64;
+
+/// How long an injected [`ServiceFault::Stall`] holds an attempt before it
+/// runs: long enough that a client can observe the job `running` (and the
+/// next one `queued`) before the attempt can finish.
+const STALL: Duration = Duration::from_secs(1);
 
 /// Lifecycle of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +165,9 @@ pub(crate) struct State {
     /// `(wake_at_ms, seq)` for jobs waiting out a retry backoff.
     pub(crate) backoff: Vec<(u64, u64)>,
     durations: VecDeque<u64>,
+    /// Seqs of the finished jobs whose terminal record is in the spool,
+    /// oldest first; at most [`RECENT_JOBS`].
+    recent: VecDeque<u64>,
     next_seq: u64,
 }
 
@@ -216,6 +232,7 @@ impl Sweepd {
             jobs: BTreeMap::new(),
             backoff: Vec::new(),
             durations: VecDeque::new(),
+            recent: VecDeque::new(),
             next_seq: 1,
         };
         recover_spool(&config, &mut state)?;
@@ -226,7 +243,7 @@ impl Sweepd {
             stop: AtomicBool::new(false),
             spool_writes: AtomicU64::new(0),
         });
-        publish_queue_depth(&inner);
+        publish_queue_depth(&inner.lock());
         let (addr, http) = http::serve(inner.clone())?;
         let sched_inner = inner.clone();
         let sched = std::thread::Builder::new()
@@ -256,13 +273,22 @@ impl Sweepd {
     /// finishes first (attempts are not torn down — the checkpoint makes a
     /// `kill -9` safe, but an orderly shutdown is cleaner still).
     pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
+        // Set under the state lock, so the scheduler either sees the flag
+        // before it parks or is parked and gets the notify.
+        {
+            let _st = self.inner.lock();
+            self.inner.stop.store(true, Ordering::SeqCst);
+        }
         self.inner.cv.notify_all();
         if let Some(h) = self.sched.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.http.take() {
-            let _ = h.join();
+        // The listener is blocked in `accept`; one connection wakes it to
+        // see the flag. Without that wake it would never return.
+        if http::wake(self.addr) {
+            if let Some(h) = self.http.take() {
+                let _ = h.join();
+            }
         }
     }
 
@@ -278,10 +304,11 @@ impl Sweepd {
     }
 }
 
-/// Restores jobs from `job-*.json` spool records. Terminal jobs load for
-/// serving; queued/running/backoff jobs were interrupted — they re-enqueue
-/// (in seq order, so the recovered schedule is deterministic) and will
-/// resume from their checkpoints.
+/// Restores jobs from `job-*.json` spool records. The last [`RECENT_JOBS`]
+/// terminal jobs load for serving (older ones stay in the spool only);
+/// queued/running/backoff jobs were interrupted — they re-enqueue (in seq
+/// order, so the recovered schedule is deterministic) and will resume from
+/// their checkpoints. New jobs number past every spooled seq.
 fn recover_spool(config: &SweepdConfig, state: &mut State) -> Result<(), AntError> {
     let entries = match std::fs::read_dir(&config.spool) {
         Ok(entries) => entries,
@@ -315,9 +342,17 @@ fn recover_spool(config: &SweepdConfig, state: &mut State) -> Result<(), AntErro
     }
     recovered_jobs.sort_by_key(|j| j.seq);
     let registry = ant_obs::registry();
+    let finished = recovered_jobs.iter().filter(|j| j.state.is_terminal()).count();
+    let mut older = finished.saturating_sub(RECENT_JOBS);
     for mut job in recovered_jobs {
         state.next_seq = state.next_seq.max(job.seq + 1);
-        if !job.state.is_terminal() {
+        if job.state.is_terminal() {
+            if older > 0 {
+                older -= 1;
+                continue;
+            }
+            state.recent.push_back(job.seq);
+        } else {
             // Interrupted mid-flight: back to the queue, resume on pop.
             job.state = JobState::Queued;
             job.recovered = true;
@@ -333,11 +368,27 @@ fn recover_spool(config: &SweepdConfig, state: &mut State) -> Result<(), AntErro
     Ok(())
 }
 
-fn publish_queue_depth(inner: &Inner) {
-    let depth = inner.lock().queue.len();
+fn publish_queue_depth(st: &State) {
     ant_obs::registry()
         .gauge("sweepd.queue.depth")
-        .set(depth as f64);
+        .set(st.queue.len() as f64);
+}
+
+/// Records that job `seq` reached a terminal state. Once its record is in
+/// the spool it joins the recent list, and the finished job that falls off
+/// the list leaves memory. A job whose terminal record did not reach the
+/// spool stays in memory: memory is then its only record. Takes the locked
+/// state, so callers that already hold the lock do not lock again.
+fn retire(st: &mut State, seq: u64, spooled: bool) {
+    if !spooled {
+        return;
+    }
+    st.recent.push_back(seq);
+    while st.recent.len() > RECENT_JOBS {
+        if let Some(old) = st.recent.pop_front() {
+            st.jobs.remove(&old);
+        }
+    }
 }
 
 /// Handles `POST /jobs`: validate, shed, or admit. Returns the HTTP status
@@ -395,13 +446,15 @@ pub(crate) fn submit(inner: &Inner, body: &str) -> (&'static str, String) {
             duration_ms: None,
         };
         let position = st.queue.position_of(seq).unwrap_or(0);
-        st.jobs.insert(seq, job.clone());
-        drop(st);
+        publish_queue_depth(&st);
+        // Spooled before the lock is released: the scheduler cannot pop the
+        // job (and write its `running` record) until this one is down, so
+        // the two writes never race on the same file.
         write_job_record(inner, &job);
+        st.jobs.insert(seq, job);
         (seq, id, position)
     };
     registry.counter("sweepd.queue.submitted").incr();
-    publish_queue_depth(inner);
     inner.cv.notify_all();
     let mut body = String::with_capacity(128);
     body.push_str(&format!("{{\"schema\":\"{JOB_SCHEMA}\",\"id\":"));
@@ -496,7 +549,8 @@ fn mean_duration(st: &State) -> Option<u64> {
     Some(st.durations.iter().sum::<u64>() / st.durations.len() as u64)
 }
 
-/// `GET /jobs`: every known job, seq order, schema [`JOBS_SCHEMA`].
+/// `GET /jobs`: the live jobs plus the recently finished ones, seq order,
+/// schema [`JOBS_SCHEMA`].
 pub(crate) fn jobs_json(inner: &Inner) -> String {
     let st = inner.lock();
     let mut out = String::with_capacity(256);
@@ -512,15 +566,26 @@ pub(crate) fn jobs_json(inner: &Inner) -> String {
 }
 
 /// `GET /jobs/{id}`: one job by external id (or numeric seq), `None` when
-/// unknown.
+/// unknown. The seq is the id's last field; a job no longer in memory is
+/// read back from its spool record, and either way the whole id must match.
 pub(crate) fn job_json(inner: &Inner, id: &str) -> Option<String> {
-    let st = inner.lock();
-    let job = st
-        .jobs
-        .values()
-        .find(|j| j.id == id)
-        .or_else(|| id.parse::<u64>().ok().and_then(|seq| st.jobs.get(&seq)))?;
-    Some(job_object(inner, &st, job) + "\n")
+    let (seq, bare) = match id.parse::<u64>() {
+        Ok(seq) => (seq, true),
+        Err(_) => (id.rsplit('-').next()?.parse::<u64>().ok()?, false),
+    };
+    let matches = |job: &Job| bare || job.id == id;
+    {
+        let st = inner.lock();
+        if let Some(job) = st.jobs.get(&seq) {
+            return matches(job).then(|| job_object(inner, &st, job) + "\n");
+        }
+        if seq >= st.next_seq {
+            return None;
+        }
+    }
+    let text = std::fs::read_to_string(inner.config.spool.join(format!("job-{seq}.json"))).ok()?;
+    let job = parse_job(&text).filter(|j| j.seq == seq && j.state.is_terminal() && matches(j))?;
+    Some(job_object(inner, &inner.lock(), &job) + "\n")
 }
 
 fn result_paths(inner: &Inner, seq: u64) -> (PathBuf, PathBuf) {
@@ -533,7 +598,8 @@ fn result_paths(inner: &Inner, seq: u64) -> (PathBuf, PathBuf) {
 /// Persists a job record atomically (`.tmp` + rename), honouring injected
 /// spool faults (`ANT_CHAOS` `spool=`): a faulted write warns and counts —
 /// in-memory state stays authoritative, the next transition rewrites.
-fn write_job_record(inner: &Inner, job: &Job) {
+/// Returns whether the record reached the spool.
+fn write_job_record(inner: &Inner, job: &Job) -> bool {
     let index = inner.spool_writes.fetch_add(1, Ordering::Relaxed);
     if chaos::active().is_some_and(|c| c.spool_fault_for(index)) {
         ant_obs::registry().counter("sweepd.spool.io_errors").incr();
@@ -542,7 +608,7 @@ fn write_job_record(inner: &Inner, job: &Job) {
              record not rewritten",
             job.id, job.seq
         );
-        return;
+        return false;
     }
     let path = inner.config.spool.join(format!("job-{}.json", job.seq));
     let tmp = inner.config.spool.join(format!("job-{}.json.tmp", job.seq));
@@ -586,7 +652,9 @@ fn write_job_record(inner: &Inner, job: &Job) {
             "ant-sweepd: spool: cannot persist job record {} ({e}); continuing",
             path.display()
         );
+        return false;
     }
+    true
 }
 
 /// Parses a spool job record; `None` when corrupt.
@@ -630,64 +698,91 @@ fn parse_job(text: &str) -> Option<Job> {
 }
 
 /// The scheduler: wake due backoffs, expire overdue queued jobs, run the
-/// next fair-queue pick, park briefly when idle.
+/// next fair-queue pick. With nothing runnable it parks on the condvar
+/// until the next backoff or deadline falls due, or until a submission or
+/// shutdown notifies it; it checks for work under the same lock it parks
+/// with, so no notify is lost in between.
 fn scheduler_loop(inner: &Arc<Inner>) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        let now = now_ms();
-        let next = {
+    loop {
+        let seq = {
             let mut st = inner.lock();
-            // Due backoffs re-enter the queue.
-            let due: Vec<u64> = {
-                let all: Vec<(u64, u64)> = st.backoff.drain(..).collect();
-                let (ready, pending) = all.into_iter().partition(|&(wake, _)| wake <= now);
+            loop {
+                if inner.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let now = now_ms();
+                // Due backoffs re-enter the queue.
+                let (ready, pending): (Vec<_>, Vec<_>) =
+                    st.backoff.drain(..).partition(|&(wake, _)| wake <= now);
                 st.backoff = pending;
-                ready.into_iter().map(|(_, seq)| seq).collect()
-            };
-            for seq in due {
-                if let Some(job) = st.jobs.get_mut(&seq) {
-                    job.state = JobState::Queued;
-                    let (tenant, weight) = (job.spec.tenant.clone(), job.spec.weight);
-                    let _ = st.queue.push(&tenant, weight, seq);
+                for (_, seq) in ready {
+                    if let Some(job) = st.jobs.get_mut(&seq) {
+                        job.state = JobState::Queued;
+                        let (tenant, weight) = (job.spec.tenant.clone(), job.spec.weight);
+                        let _ = st.queue.push(&tenant, weight, seq);
+                    }
                 }
-            }
-            // Queued jobs whose deadline passed expire in place.
-            let overdue: Vec<u64> = st
-                .jobs
-                .values()
-                .filter(|j| {
-                    j.state == JobState::Queued
-                        && j.deadline_at_ms.is_some_and(|d| d <= now)
-                })
-                .map(|j| j.seq)
-                .collect();
-            for seq in overdue {
-                st.queue.remove(seq);
-                if let Some(job) = st.jobs.get_mut(&seq) {
-                    job.state = JobState::Expired;
-                    let job = job.clone();
-                    drop_expired(inner, &job);
+                // Queued jobs whose deadline passed expire in place.
+                let overdue: Vec<u64> = st
+                    .jobs
+                    .values()
+                    .filter(|j| {
+                        j.state == JobState::Queued
+                            && j.deadline_at_ms.is_some_and(|d| d <= now)
+                    })
+                    .map(|j| j.seq)
+                    .collect();
+                for seq in overdue {
+                    st.queue.remove(seq);
+                    if let Some(job) = st.jobs.get_mut(&seq) {
+                        job.state = JobState::Expired;
+                        let job = job.clone();
+                        let spooled = drop_expired(inner, &job);
+                        retire(&mut st, seq, spooled);
+                    }
                 }
+                let next = st.queue.pop();
+                publish_queue_depth(&st);
+                if let Some(seq) = next {
+                    break seq;
+                }
+                let due = st
+                    .backoff
+                    .iter()
+                    .map(|&(wake, _)| wake)
+                    .chain(
+                        st.jobs
+                            .values()
+                            .filter(|j| j.state == JobState::Queued)
+                            .filter_map(|j| j.deadline_at_ms),
+                    )
+                    .min();
+                st = match due {
+                    Some(due) => {
+                        let wait = Duration::from_millis(due.saturating_sub(now).max(1));
+                        inner
+                            .cv
+                            .wait_timeout(st, wait)
+                            .map(|(st, _)| st)
+                            .unwrap_or_else(|p| p.into_inner().0)
+                    }
+                    None => inner.cv.wait(st).unwrap_or_else(|p| p.into_inner()),
+                };
             }
-            st.queue.pop()
         };
-        publish_queue_depth(inner);
-        match next {
-            Some(seq) => run_job(inner, seq),
-            None => {
-                let st = inner.lock();
-                let _ = inner.cv.wait_timeout(st, Duration::from_millis(10));
-            }
-        }
+        run_job(inner, seq);
     }
 }
 
-fn drop_expired(inner: &Inner, job: &Job) {
+/// Counts and spools a job that expired; returns whether its record
+/// reached the spool.
+fn drop_expired(inner: &Inner, job: &Job) -> bool {
     ant_obs::registry().counter("sweepd.job.expired").incr();
     eprintln!(
         "ant-sweepd: job {} (seq {}) expired before running; checkpoint retained",
         job.id, job.seq
     );
-    write_job_record(inner, job);
+    write_job_record(inner, job)
 }
 
 /// Output of one successful (or deadline-cancelled) attempt.
@@ -725,7 +820,8 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
             job.state = JobState::Expired;
             let job = job.clone();
             drop(st);
-            drop_expired(inner, &job);
+            let spooled = drop_expired(inner, &job);
+            retire(&mut inner.lock(), seq, spooled);
         }
         return;
     }
@@ -736,7 +832,7 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
     if matches!(fault, Some(ServiceFault::Stall)) {
         // A stalled job burns wall budget; the deadline still cuts it off
         // at the next pair-job boundary.
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(STALL);
     }
     let inject_death = matches!(fault, Some(ServiceFault::JobDeath));
 
@@ -768,7 +864,8 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
                 });
                 let job = job.clone();
                 drop(st);
-                drop_expired(inner, &job);
+                let spooled = drop_expired(inner, &job);
+                retire(&mut inner.lock(), seq, spooled);
             }
         }
         Ok(output) => {
@@ -788,7 +885,8 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
                 job.quarantined_pairs += output.quarantined_pairs;
                 let job = job.clone();
                 drop(st);
-                write_job_record(inner, &job);
+                let spooled = write_job_record(inner, &job);
+                retire(&mut inner.lock(), seq, spooled);
             }
         }
         Err(error) => {
@@ -831,12 +929,12 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
                         "ant-sweepd: job {} quarantined after {attempt} attempt(s): {error}",
                         job.id
                     );
-                    write_job_record(inner, &job);
+                    let spooled = write_job_record(inner, &job);
+                    retire(&mut inner.lock(), seq, spooled);
                 }
             }
         }
     }
-    publish_queue_depth(inner);
 }
 
 fn write_atomic(path: &std::path::Path, content: &str) {
@@ -1008,6 +1106,7 @@ mod tests {
                 jobs: BTreeMap::new(),
                 backoff: Vec::new(),
                 durations: VecDeque::new(),
+                recent: VecDeque::new(),
                 next_seq: 1,
             }),
             cv: Condvar::new(),

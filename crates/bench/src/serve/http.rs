@@ -2,19 +2,22 @@
 //!
 //! Same discipline as the `ant-obs` metrics exporter it extends: one
 //! short-lived connection at a time, bounded request sizes, socket
-//! timeouts, and plain `std::net`. The listener runs non-blocking with a
-//! short accept poll so [`Sweepd::shutdown`](super::Sweepd::shutdown) can
-//! stop it cleanly (the daemon itself is designed to survive `kill -9`,
-//! but tests want orderly teardown).
+//! timeouts, and plain `std::net`. The listener blocks in `accept`, so a
+//! request is served the moment it arrives;
+//! [`Sweepd::shutdown`](super::Sweepd::shutdown) stops it cleanly by
+//! setting the stop flag and then connecting once to wake it (the daemon
+//! itself is designed to survive `kill -9`, but tests want orderly
+//! teardown).
 //!
 //! Routes:
 //!
 //! - `POST /jobs` — submit a [`JobSpec`](super::JobSpec); `202` with id and
 //!   queue position, `400` invalid spec, `429` queue full, `503` past
 //!   deadline (the latter two counted as `sweepd.job.shed`).
-//! - `GET /jobs` — every known job with state, attempts, queue position,
-//!   and ETA (schema `ant-sweepd-jobs/1`).
-//! - `GET /jobs/{id}` — one job by external id or sequence number.
+//! - `GET /jobs` — the live jobs and the most recently finished ones with
+//!   state, attempts, queue position, and ETA (schema `ant-sweepd-jobs/1`).
+//! - `GET /jobs/{id}` — one job by external id or sequence number, read
+//!   back from the spool once it has left memory.
 //! - `GET /status` — the latest in-process `ant-status/1` snapshot (live
 //!   runner progress of the executing job).
 //! - `GET /metrics` — Prometheus text exposition of the process registry,
@@ -22,7 +25,7 @@
 //! - `GET /healthz` — liveness.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,8 +42,9 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Largest request (head + body) the daemon will buffer.
 const MAX_REQUEST_BYTES: usize = 256 * 1024;
 
-/// Accept-poll interval while idle; bounds shutdown latency.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error does not spin the listener.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
 
 /// Binds the configured address and spawns the serving thread. Returns the
 /// bound address (for port-0 discovery) and the thread handle.
@@ -52,31 +56,37 @@ pub(crate) fn serve(
     let bound = listener
         .local_addr()
         .map_err(|e| AntError::io("local_addr", &e))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| AntError::io("set_nonblocking", &e))?;
     let handle = std::thread::Builder::new()
         .name("ant-sweepd-http".to_string())
         .spawn(move || {
-            while !inner.stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Back to blocking IO (with timeouts) per connection:
-                        // requests are tiny and serialized handling keeps the
-                        // surface allocation-bounded, like the metrics
-                        // exporter.
-                        let _ = stream.set_nonblocking(false);
-                        handle_connection(stream, &inner);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // Requests are tiny and handled one at a time, which keeps the
+            // surface allocation-bounded, like the metrics exporter.
+            for stream in listener.incoming() {
+                if inner.stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => handle_connection(stream, &inner),
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY),
                 }
             }
         })
         .map_err(|e| AntError::io("spawn http thread", &e))?;
     Ok((bound, handle))
+}
+
+/// Wakes a listener blocked in `accept` on `addr` (a wildcard address is
+/// reached over loopback). Returns whether the connection was made, i.e.
+/// whether the listener is sure to return.
+pub(crate) fn wake(addr: SocketAddr) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    TcpStream::connect_timeout(&target, IO_TIMEOUT).is_ok()
 }
 
 /// Reads one request (head, then `Content-Length` bytes of body), routes

@@ -30,7 +30,7 @@ pub mod spec;
 
 pub use daemon::{
     backoff_ms, AttemptRecord, Job, JobState, Sweepd, ERROR_SCHEMA, JOBS_SCHEMA, JOB_SCHEMA,
-    RESULT_SCHEMA,
+    RECENT_JOBS, RESULT_SCHEMA,
 };
 pub use http::http_post;
 pub use queue::{FairQueue, Shed};

@@ -70,6 +70,26 @@ fn progress_reporter_writes_final_status_file() {
     // No torn-write temp file is left behind.
     assert!(!dir.join("status.json.tmp").exists());
 
+    // One worker with progress on runs inline on the calling thread and
+    // still ends on exact final counts.
+    std::fs::remove_file(&status_path).unwrap();
+    let inline = RunOptions {
+        threads: Some(1),
+        ..opts
+    };
+    let inline_result =
+        try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &inline).unwrap();
+    assert_eq!(inline_result.total, result.total, "inline run diverged");
+    let body = std::fs::read_to_string(&status_path).expect("inline run writes status");
+    let json = ant_obs::parse_json(body.trim()).expect("status file is valid JSON");
+    assert_eq!(json.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(json.get("threads").and_then(Json::as_u64), Some(1));
+    assert_eq!(json.get("pairs_total").and_then(Json::as_u64), Some(24));
+    assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(24));
+    assert_eq!(json.get("layers_total").and_then(Json::as_u64), Some(2));
+    assert_eq!(json.get("layers_done").and_then(Json::as_u64), Some(2));
+    assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(0.0));
+
     // With progress off (explicitly), the file is not rewritten.
     std::fs::remove_file(&status_path).unwrap();
     let opts_off = RunOptions {

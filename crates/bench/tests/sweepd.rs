@@ -1,6 +1,7 @@
 //! End-to-end tests for `ant-sweepd`: typed shedding, weighted-fair
 //! multi-tenancy, deterministic retry/backoff under service chaos, crash
-//! recovery from the spool, and the deadline/checkpoint interplay.
+//! recovery from the spool, the deadline/checkpoint interplay, and finished
+//! jobs served back from the spool once they leave memory.
 //!
 //! Chaos is process-global, so everything lives in one `#[test]` (its own
 //! binary); each phase runs its own daemon on an ephemeral port with its
@@ -13,7 +14,7 @@ use ant_bench::checkpoint::CheckpointFile;
 use ant_bench::runner::{
     simulate_network, try_simulate_network_parallel_checkpointed, ExperimentConfig, RunOptions,
 };
-use ant_bench::serve::{backoff_ms, http_post, Sweepd, SweepdConfig};
+use ant_bench::serve::{backoff_ms, http_post, Sweepd, SweepdConfig, RECENT_JOBS};
 use ant_obs::export::http_get;
 use ant_obs::json::Json;
 use ant_sim::ant::AntAccelerator;
@@ -31,8 +32,8 @@ fn counter(name: &str) -> u64 {
     ant_obs::registry().counter(name).get()
 }
 
-fn daemon(spool: &std::path::Path, queue_capacity: usize) -> (Sweepd, String) {
-    let config = SweepdConfig {
+fn config(spool: &std::path::Path, queue_capacity: usize) -> SweepdConfig {
+    SweepdConfig {
         spool: spool.to_path_buf(),
         queue_capacity,
         max_attempts: 3,
@@ -40,10 +41,17 @@ fn daemon(spool: &std::path::Path, queue_capacity: usize) -> (Sweepd, String) {
         threads: Some(2),
         progress: false,
         ..SweepdConfig::default()
-    };
+    }
+}
+
+fn start(config: SweepdConfig) -> (Sweepd, String) {
     let daemon = Sweepd::start(config).expect("daemon starts");
     let base = format!("http://{}", daemon.addr());
     (daemon, base)
+}
+
+fn daemon(spool: &std::path::Path, queue_capacity: usize) -> (Sweepd, String) {
+    start(config(spool, queue_capacity))
 }
 
 fn get(base: &str, path: &str) -> (u16, String) {
@@ -57,24 +65,46 @@ fn post_job(base: &str, body: &str) -> (u16, String) {
 /// Polls `GET /jobs/{seq}` until the job reaches a terminal state;
 /// returns the final job document.
 fn wait_terminal(base: &str, seq: u64) -> Json {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    loop {
+    wait_state(base, seq, &["done", "quarantined", "expired"])
+}
+
+/// Polls `GET /jobs/{seq}` until the job's state is one of `states`;
+/// returns that job document.
+fn wait_state(base: &str, seq: u64, states: &[&str]) -> Json {
+    let mut doc = None;
+    wait_until(&format!("job {seq} to reach {states:?}"), || {
         let (code, body) = get(base, &format!("/jobs/{seq}"));
-        if code == 200 {
-            let doc = ant_obs::parse_json(body.trim()).expect("job document parses");
-            if matches!(
-                doc.get("state").and_then(Json::as_str),
-                Some("done" | "quarantined" | "expired")
-            ) {
-                return doc;
-            }
+        if code != 200 {
+            return false;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "job {seq} did not reach a terminal state"
-        );
+        let parsed = ant_obs::parse_json(body.trim()).expect("job document parses");
+        let reached = states.contains(&state_of(&parsed));
+        doc = Some(parsed);
+        reached
+    });
+    doc.expect("polled at least once")
+}
+
+/// Polls `ready` every 10ms; fails the test after two minutes.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while !ready() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+}
+
+/// The state a job's spool record holds, if it parses.
+fn spooled_state(spool: &std::path::Path, seq: u64) -> Option<String> {
+    let text = std::fs::read_to_string(spool.join(format!("job-{seq}.json"))).ok()?;
+    let doc = ant_obs::parse_json(text.trim()).ok()?;
+    Some(state_of(&doc).to_string())
+}
+
+/// The external id from a `202` submission body.
+fn submitted_id(body: &str) -> String {
+    let doc = ant_obs::parse_json(body.trim()).expect("submission body parses");
+    doc.get("id").and_then(Json::as_str).expect("id").to_string()
 }
 
 fn state_of(doc: &Json) -> &str {
@@ -159,7 +189,7 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
     }
 
     // --- Phase C: queue-full submissions shed with a typed 429 -------------
-    // Capacity 1 and an injected 25ms stall on every attempt: the first job
+    // Capacity 1 and an injected stall on every attempt: the first job
     // occupies the scheduler, so the queue still holds a job when the last
     // submission arrives — it must be refused, not silently dropped.
     {
@@ -293,31 +323,47 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
     }
 
     // --- Phase G: deadlines expire jobs but retain their checkpoints -------
-    // A 1ms deadline expires before (or at) the first pair boundary; the
-    // job ends "expired", never "done" — and an identical re-submission
-    // without a deadline completes with the canonical bytes, resuming from
-    // whatever the expired attempt checkpointed.
+    // Under an injected stall on every attempt, job 1's 100ms deadline
+    // passes inside its own attempt (it expires at the first cell), and job
+    // 2, submitted once job 1 is running, expires while still queued: the
+    // scheduler retires it under the state lock it already holds. Neither
+    // publishes results, and an identical re-submission without a deadline
+    // completes with the canonical bytes, resuming from whatever checkpoint
+    // exists.
     {
+        const SPEC_DEADLINE: &str = r#"{"tenant":"alice","model":"tiny","machines":["ant"],"sparsities":[0.9],"deadline_ms":100}"#;
+        chaos::set_override(Some(ChaosConfig {
+            stall_prob: 1.0,
+            ..ChaosConfig::quiet(21)
+        }));
         let spool = tmp.join("g");
         let expired_before = counter("sweepd.job.expired");
         let (daemon, base) = daemon(&spool, 8);
-        let (code, _) = post_job(
-            &base,
-            r#"{"tenant":"alice","model":"tiny","machines":["ant"],"sparsities":[0.9],"deadline_ms":1}"#,
-        );
-        assert_eq!(code, 202, "a 1ms deadline is admitted (only 0 is shed)");
-        let doc = wait_terminal(&base, 1);
-        assert_eq!(state_of(&doc), "expired");
-        assert_eq!(counter("sweepd.job.expired") - expired_before, 1);
-        assert!(
-            !spool.join("job-1.result.csv").exists(),
-            "an expired job must not publish results"
-        );
+        let (code, _) = post_job(&base, SPEC_DEADLINE);
+        assert_eq!(code, 202, "a 100ms deadline is admitted (only 0 is shed)");
+        wait_state(&base, 1, &["running"]);
+        let (code, _) = post_job(&base, &SPEC_DEADLINE.replace("alice", "bob"));
+        assert_eq!(code, 202);
+        let ran = wait_terminal(&base, 1);
+        let queued = wait_terminal(&base, 2);
+        chaos::set_override(None);
+        assert_eq!(state_of(&ran), "expired");
+        assert_eq!(state_of(&queued), "expired");
+        let attempts = |doc: &Json| doc.get("attempt_count").and_then(Json::as_u64);
+        assert_eq!(attempts(&ran), Some(1), "job 1 expired inside its attempt");
+        assert_eq!(attempts(&queued), Some(0), "job 2 expired before running");
+        assert_eq!(counter("sweepd.job.expired") - expired_before, 2);
+        for seq in [1, 2] {
+            assert!(
+                !spool.join(format!("job-{seq}.result.csv")).exists(),
+                "an expired job must not publish results"
+            );
+        }
         let (code, _) = post_job(&base, SPEC_ALICE);
         assert_eq!(code, 202);
-        let doc = wait_terminal(&base, 2);
+        let doc = wait_terminal(&base, 3);
         assert_eq!(state_of(&doc), "done");
-        let csv = std::fs::read_to_string(spool.join("job-2.result.csv")).expect("result");
+        let csv = std::fs::read_to_string(spool.join("job-3.result.csv")).expect("result");
         assert_eq!(csv, alice_csv, "post-expiry resubmission diverged");
         daemon.shutdown();
     }
@@ -405,6 +451,125 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
             "resume means restart-free: nothing left to cancel"
         );
         assert_eq!(warm.total, baseline.total);
+    }
+
+    // --- Phase I: the default, progress-on daemon --------------------------
+    // Every other phase runs with progress off. At the default each cell
+    // also publishes its final status, and the job still ends on the
+    // canonical bytes.
+    {
+        assert!(SweepdConfig::default().progress, "progress is on by default");
+        let spool = tmp.join("i");
+        let (daemon, base) = start(SweepdConfig {
+            progress: SweepdConfig::default().progress,
+            ..config(&spool, 8)
+        });
+        let (code, _) = post_job(&base, SPEC_ALICE);
+        assert_eq!(code, 202);
+        let doc = wait_terminal(&base, 1);
+        assert_eq!(state_of(&doc), "done");
+        let csv = std::fs::read_to_string(spool.join("job-1.result.csv")).expect("result");
+        assert_eq!(csv, alice_csv, "progress-on run diverged");
+        let (code, body) = get(&base, "/status");
+        assert_eq!(code, 200, "{body}");
+        let status = ant_obs::parse_json(body.trim()).expect("status parses");
+        assert_eq!(state_of(&status), "done");
+        assert_eq!(status.get("network").and_then(Json::as_str), Some("tiny"));
+        let pairs = |key: &str| status.get(key).and_then(Json::as_u64);
+        assert_eq!(pairs("pairs_done"), pairs("pairs_total"));
+        daemon.shutdown();
+    }
+
+    // --- Phase J: finished jobs live in the spool --------------------------
+    // Finish RECENT_JOBS + 2 jobs. Job 1 then leaves memory, and
+    // `GET /jobs/{id}` serves it back from the spool as the same document;
+    // an id whose tenant or hash disagrees with the record 404s. Job 2's
+    // terminal record write is faulted, so memory is its only record and
+    // it stays listed. A restart keeps numbering past the spool.
+    {
+        let total = RECENT_JOBS as u64 + 2;
+        // Writes per job: queued, running, terminal. Probe for a spool
+        // fault that strikes write 5 (job 2's terminal record) and no other
+        // write of this phase.
+        let writes = 3 * total + 8;
+        let faulted = 5;
+        let fault_cfg = (1..100_000u64)
+            .flat_map(|seed| {
+                [1e-3, 3e-3, 1e-2].map(|p| ChaosConfig {
+                    spool_prob: p,
+                    ..ChaosConfig::quiet(seed)
+                })
+            })
+            .find(|c| (0..writes).all(|i| c.spool_fault_for(i) == (i == faulted)))
+            .expect("some seed faults exactly one write");
+        chaos::set_override(Some(fault_cfg));
+        let spool = tmp.join("j");
+        let (daemon, base) = daemon(&spool, total as usize);
+        // Jobs 1 and 2 run one at a time, so their writes take indices 0-5.
+        let (code, body) = post_job(&base, SPEC_ALICE);
+        assert_eq!(code, 202, "{body}");
+        let id1 = submitted_id(&body);
+        wait_until("job 1's terminal record", || {
+            spooled_state(&spool, 1).as_deref() == Some("done")
+        });
+        let (_, before) = get(&base, &format!("/jobs/{id1}"));
+        let io_errors = counter("sweepd.spool.io_errors");
+        let (code, _) = post_job(&base, SPEC_BOB);
+        assert_eq!(code, 202);
+        assert_eq!(state_of(&wait_terminal(&base, 2)), "done");
+        wait_until("job 2's faulted write", || {
+            counter("sweepd.spool.io_errors") > io_errors
+        });
+        assert_ne!(spooled_state(&spool, 2).as_deref(), Some("done"));
+        for i in 3..=total {
+            let spec = if i % 2 == 0 { SPEC_BOB } else { SPEC_ALICE };
+            assert_eq!(post_job(&base, spec).0, 202);
+        }
+        for seq in 3..=total {
+            assert_eq!(state_of(&wait_terminal(&base, seq)), "done");
+        }
+        chaos::set_override(None);
+        assert_eq!(counter("sweepd.spool.io_errors") - io_errors, 1);
+
+        // The board lists the last RECENT_JOBS finished jobs plus job 2. A
+        // job reads `done` just before its record is written and it is
+        // retired, so wait for the last retirement to evict job 1.
+        let listed = || -> Vec<u64> {
+            let (_, board) = get(&base, "/jobs");
+            let board = ant_obs::parse_json(board.trim()).expect("board parses");
+            board
+                .get("jobs")
+                .and_then(Json::as_array)
+                .expect("jobs")
+                .iter()
+                .filter_map(|j| j.get("seq").and_then(Json::as_u64))
+                .collect()
+        };
+        wait_until("job 1 to leave memory", || !listed().contains(&1));
+        let expected: Vec<u64> = std::iter::once(2).chain(3..=total).collect();
+        assert_eq!(listed(), expected);
+
+        // Job 1 left memory; its record serves the same document, by id or
+        // by seq, and only under its own tenant and hash.
+        assert_eq!(get(&base, &format!("/jobs/{id1}")), (200, before.clone()));
+        assert_eq!(get(&base, "/jobs/1"), (200, before.clone()));
+        let hash = id1.split('-').nth(1).expect("id carries the spec hash");
+        assert_eq!(get(&base, &format!("/jobs/bob-{hash}-1")).0, 404);
+        let other_hash = if hash == "00000000" { "00000001" } else { "00000000" };
+        assert_eq!(get(&base, &format!("/jobs/alice-{other_hash}-1")).0, 404);
+        assert_eq!(get(&base, &format!("/jobs/{}", total + 1)).0, 404);
+        daemon.shutdown();
+
+        // Restart on the spool: job 1 is still served from its record, and
+        // a new submission numbers past every spooled seq.
+        let (restarted, base) = start(config(&spool, 8));
+        assert_eq!(get(&base, &format!("/jobs/{id1}")), (200, before));
+        let (code, body) = post_job(&base, SPEC_ALICE);
+        assert_eq!(code, 202, "{body}");
+        let next = total + 1;
+        assert!(submitted_id(&body).ends_with(&format!("-{next}")), "{body}");
+        assert_eq!(state_of(&wait_terminal(&base, next)), "done");
+        restarted.shutdown();
     }
 
     let _ = std::fs::remove_dir_all(&tmp);

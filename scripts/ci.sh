@@ -437,8 +437,9 @@ echo "chaos smoke: fig09 sweep survived injection" \
 echo "== sweepd smoke (kill -9 mid-job, restart: recovery + byte-identical results, typed shedding)"
 # Three daemon phases over the same two-tenant job mix:
 #   1. reference: a clean run; both jobs complete, results copied aside.
-#   2. interrupted: stall chaos pins job 1 inside its first attempt so a
-#      kill -9 provably lands mid-job, leaving running/queued spool records.
+#   2. interrupted: stall chaos holds job 1 in its first attempt for 1 s;
+#      the smoke polls /jobs until job 1 reads running and job 2 queued,
+#      then kill -9 lands mid-job, leaving running/queued spool records.
 #   3. restart on the same spool: both jobs recover; seeded job-death chaos
 #      (seed=4, job=0.05 strikes exactly job 1 attempt 1) exercises the
 #      supervised retry, and a deadline_ms=0 submission the typed 503 shed.
@@ -505,13 +506,25 @@ sweepd_wait "$SWEEPD_BASE"
 kill "$SWEEPD_PID" 2>/dev/null || true
 wait "$SWEEPD_PID" 2>/dev/null || true
 
-# Phase 2: same jobs, kill -9 inside job 1's chaos stall (25ms window).
+# Phase 2: same jobs, kill -9 inside job 1's chaos stall, once the board
+# shows job 1 running and job 2 queued behind it.
 sweepd_start "$SWEEPD_DIR/spool" "$SWEEPD_DIR/kill.addr" ANT_CHAOS=stall=1.0
 [[ $(sweepd_post "$SWEEPD_BASE" "$SPEC_ALICE") == 202 ]] \
   || { echo "interrupted alice submit refused" >&2; exit 1; }
 [[ $(sweepd_post "$SWEEPD_BASE" "$SPEC_BOB") == 202 ]] \
   || { echo "interrupted bob submit refused" >&2; exit 1; }
-sleep 0.01
+python3 - "$SWEEPD_BASE" <<'PY'
+import json, sys, time, urllib.request
+base = sys.argv[1]
+for _ in range(1000):
+    with urllib.request.urlopen(base + "/jobs", timeout=10) as r:
+        states = {j["seq"]: j["state"] for j in json.load(r)["jobs"]}
+    if states.get(1) == "running" and states.get(2) == "queued":
+        sys.exit(0)
+    assert states.get(1) in ("queued", "running"), f"job 1 ended before the kill: {states}"
+    time.sleep(0.005)
+raise AssertionError(f"jobs never read running/queued: {states}")
+PY
 kill -9 "$SWEEPD_PID"
 wait "$SWEEPD_PID" 2>/dev/null || true
 
