@@ -584,10 +584,18 @@ impl ProgressShared {
     /// relaxed load until a publish is due; then only the worker that
     /// claims the slot builds and writes the snapshot.
     fn pair_done(&self, base: &ant_obs::RunStatus, run_start: &Instant) {
-        let now_us = run_start.elapsed().as_micros() as u64;
+        if self.claim_publish(run_start.elapsed().as_micros() as u64) {
+            self.publish(&snapshot_status(self, base, run_start, "running"));
+        }
+    }
+
+    /// Whether a `running` snapshot is due at `now_us` (run-relative). At
+    /// most one caller per interval gets `true`; it moves the next slot a
+    /// full interval past `now_us`.
+    fn claim_publish(&self, now_us: u64) -> bool {
         let due = self.next_publish_us.load(Ordering::Relaxed);
-        if now_us < due
-            || self
+        now_us >= due
+            && self
                 .next_publish_us
                 .compare_exchange(
                     due,
@@ -595,12 +603,7 @@ impl ProgressShared {
                     Ordering::Relaxed,
                     Ordering::Relaxed,
                 )
-                .is_err()
-        {
-            return;
-        }
-        let status = snapshot_status(self, base, run_start, "running");
-        self.publish(&status);
+                .is_ok()
     }
 
     fn publish(&self, status: &ant_obs::RunStatus) {
@@ -612,7 +615,7 @@ impl ProgressShared {
 }
 
 /// Spacing of the mid-run `running` snapshots, in microseconds.
-const PROGRESS_INTERVAL_US: u64 = ant_obs::StatusReporter::DEFAULT_INTERVAL.as_micros() as u64;
+const PROGRESS_INTERVAL_US: u64 = 200_000;
 
 /// A one-shot stop flag a helper thread can sleep on: [`StopSignal::wait`]
 /// returns as soon as [`StopSignal::stop`] is called, not at the end of
@@ -2052,6 +2055,20 @@ mod tests {
                 assert_eq!(a, b, "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn progress_publishes_at_most_once_per_interval() {
+        let shared = ProgressShared::new(false);
+        // Nothing is due in the first interval, so a shorter run writes
+        // only its final status.
+        assert!(!shared.claim_publish(0));
+        assert!(!shared.claim_publish(PROGRESS_INTERVAL_US - 1));
+        assert!(shared.claim_publish(PROGRESS_INTERVAL_US + 7));
+        // A claim pushes the next slot a full interval past itself.
+        assert!(!shared.claim_publish(PROGRESS_INTERVAL_US + 8));
+        assert!(!shared.claim_publish(2 * PROGRESS_INTERVAL_US + 6));
+        assert!(shared.claim_publish(2 * PROGRESS_INTERVAL_US + 7));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::{write_json_string, Value};
 use crate::span;
@@ -279,35 +279,24 @@ impl RunStatus {
     }
 }
 
-/// Publishes [`RunStatus`] snapshots: a rate-limited stderr line plus an
-/// atomically-rewritten JSON file a sweep service can poll.
+/// Publishes [`RunStatus`] snapshots: a stderr line plus an
+/// atomically-rewritten JSON file a sweep service can poll. How often to
+/// publish is the caller's decision (the runner throttles its mid-run
+/// snapshots).
 ///
 /// Publishing is strictly best-effort — I/O failures are swallowed, because
 /// a broken status pipe must never take a run down with it.
 #[derive(Debug)]
 pub struct StatusReporter {
     path: PathBuf,
-    min_interval: Duration,
-    last_publish: Option<Instant>,
     console: bool,
 }
 
 impl StatusReporter {
-    /// Default minimum spacing between rate-limited publishes.
-    pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(200);
-
-    /// A reporter writing to `path` with the default rate limit.
+    /// A reporter writing to `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self::with_interval(path, Self::DEFAULT_INTERVAL)
-    }
-
-    /// A reporter writing to `path`, publishing at most once per
-    /// `min_interval` through [`StatusReporter::maybe_publish`].
-    pub fn with_interval(path: impl Into<PathBuf>, min_interval: Duration) -> Self {
         Self {
             path: path.into(),
-            min_interval,
-            last_publish: None,
             console: true,
         }
     }
@@ -326,22 +315,8 @@ impl StatusReporter {
         &self.path
     }
 
-    /// Publishes unless a publish already happened within the rate-limit
-    /// window. Returns whether the status was published.
-    pub fn maybe_publish(&mut self, status: &RunStatus) -> bool {
-        if let Some(last) = self.last_publish {
-            if last.elapsed() < self.min_interval {
-                return false;
-            }
-        }
-        self.publish(status);
-        true
-    }
-
-    /// Publishes unconditionally: stderr line, trace event, and the atomic
-    /// file rewrite. Use for the final `"done"` status.
+    /// Publishes: stderr line, trace event, and the atomic file rewrite.
     pub fn publish(&mut self, status: &RunStatus) {
-        self.last_publish = Some(Instant::now());
         let json = status.to_json();
         *latest_status()
             .lock()
@@ -521,15 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn reporter_rewrites_file_atomically_and_rate_limits() {
+    fn reporter_rewrites_file_atomically() {
         let _guard = publish_lock();
         let dir = std::env::temp_dir().join(format!("ant_obs_status_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/status.json");
-        let mut reporter = StatusReporter::with_interval(&path, Duration::from_secs(60));
+        let mut reporter = StatusReporter::new(&path);
 
         let mut status = sample_status();
-        assert!(reporter.maybe_publish(&status), "first publish goes through");
+        reporter.publish(&status);
         let body = std::fs::read_to_string(&path).expect("status file written");
         let json = parse(body.trim()).expect("file is complete JSON");
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(120));
@@ -538,13 +513,8 @@ mod tests {
             "temp file must be renamed away"
         );
 
-        // Within the rate-limit window nothing is written.
+        // The next publish replaces the contents.
         status.pairs_done = 200;
-        assert!(!reporter.maybe_publish(&status), "rate limit suppresses");
-        let unchanged = std::fs::read_to_string(&path).expect("still readable");
-        assert_eq!(unchanged, body);
-
-        // The unconditional publish replaces the contents.
         status.state = "done";
         reporter.publish(&status);
         let final_body = std::fs::read_to_string(&path).expect("readable");
