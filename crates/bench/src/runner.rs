@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
@@ -617,33 +617,6 @@ impl ProgressShared {
 /// Spacing of the mid-run `running` snapshots, in microseconds.
 const PROGRESS_INTERVAL_US: u64 = 200_000;
 
-/// A one-shot stop flag a helper thread can sleep on: [`StopSignal::wait`]
-/// returns as soon as [`StopSignal::stop`] is called, not at the end of
-/// its tick, so joining the helper never waits out a sleep.
-#[derive(Default)]
-struct StopSignal {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StopSignal {
-    fn stop(&self) {
-        *self.stopped.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until stopped or until `timeout` passes; returns whether the
-    /// signal was stopped.
-    fn wait(&self, timeout: Duration) -> bool {
-        let stopped = self.stopped.lock().unwrap_or_else(|p| p.into_inner());
-        let (stopped, _) = self
-            .cv
-            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
-            .unwrap_or_else(|p| p.into_inner());
-        *stopped
-    }
-}
-
 /// Builds one status snapshot from the shared counters.
 fn snapshot_status(
     shared: &ProgressShared,
@@ -1067,7 +1040,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         })
         .collect();
     let watch: Vec<WatchSlot> = (0..workers).map(|_| WatchSlot::default()).collect();
-    let stop_watchdog = StopSignal::default();
     let worker_body = |me: usize| -> WorkerOutput {
         let worker_started = Instant::now();
         let mut worker_span = ant_obs::span("steal_worker");
@@ -1242,25 +1214,25 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         out
     };
     // The calling thread is worker 0; only workers 1.. and the watchdog are
-    // spawned. A single worker with no watchdog runs entirely inline.
-    let joined: Vec<std::thread::Result<WorkerOutput>> = if workers == 1 && budget_us.is_none() {
-        vec![catch_unwind(AssertUnwindSafe(|| worker_body(0)))]
-    } else {
-        std::thread::scope(|scope| {
-            let worker_body = &worker_body;
-            if let Some(budget) = budget_us {
-                let (stop, watch, run_start) = (&stop_watchdog, &watch, &started);
-                scope.spawn(move || watchdog_loop(stop, watch, run_start, budget));
-            }
-            let handles: Vec<_> = (1..workers)
-                .map(|me| scope.spawn(move || worker_body(me)))
-                .collect();
-            let mut joined = vec![catch_unwind(AssertUnwindSafe(|| worker_body(0)))];
-            joined.extend(handles.into_iter().map(|h| h.join()));
-            stop_watchdog.stop();
-            joined
-        })
-    };
+    // spawned, so a single worker with no watchdog runs entirely inline.
+    // The watchdog runs until its stop sender drops, after the join.
+    let joined: Vec<std::thread::Result<WorkerOutput>> = std::thread::scope(|scope| {
+        let worker_body = &worker_body;
+        let stop_watchdog = budget_us.map(|budget| {
+            let (stop, stopped) = mpsc::channel();
+            let tick = Duration::from_micros((budget / 4).clamp(1_000, 50_000));
+            let (watch, run_start) = (&watch, &started);
+            scope.spawn(move || watchdog_loop(stopped, watch, run_start, budget, tick));
+            stop
+        });
+        let handles: Vec<_> = (1..workers)
+            .map(|me| scope.spawn(move || worker_body(me)))
+            .collect();
+        let mut joined = vec![catch_unwind(AssertUnwindSafe(|| worker_body(0)))];
+        joined.extend(handles.into_iter().map(|h| h.join()));
+        drop(stop_watchdog);
+        joined
+    });
     let outputs: Vec<WorkerOutput> = joined
         .into_iter()
         .map(|j| j.map_err(|payload| AntError::from_panic("steal worker", payload.as_ref())))
@@ -1526,14 +1498,20 @@ fn record_worker_metrics(workers: &[WorkerTelemetry]) {
     }
 }
 
-/// The watchdog: samples every worker's in-flight job and warns (once per
-/// job) when one exceeds the wall budget. Jobs are flagged, not killed —
-/// a stuck job holds no cancellable resources, and the warning is the
-/// operator's cue to lower the workload or raise the budget.
-fn watchdog_loop(stop: &StopSignal, watch: &[WatchSlot], run_start: &Instant, budget_us: u64) {
+/// The watchdog: samples every worker's in-flight job once per `tick` and
+/// warns (once per job) when one exceeds the wall budget. Jobs are flagged,
+/// not killed — a stuck job holds no cancellable resources, and the warning
+/// is the operator's cue to lower the workload or raise the budget. It
+/// returns as soon as `stop`'s sender is dropped, not at the end of a tick.
+fn watchdog_loop(
+    stop: mpsc::Receiver<()>,
+    watch: &[WatchSlot],
+    run_start: &Instant,
+    budget_us: u64,
+    tick: Duration,
+) {
     let mut warned: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let tick = Duration::from_micros((budget_us / 4).clamp(1_000, 50_000));
-    while !stop.wait(tick) {
+    while stop.recv_timeout(tick) == Err(mpsc::RecvTimeoutError::Timeout) {
         let now_us = run_start.elapsed().as_micros() as u64;
         for (w, slot) in watch.iter().enumerate() {
             let start_plus_one = slot.start_us.load(Ordering::Acquire);
@@ -2072,23 +2050,24 @@ mod tests {
     }
 
     #[test]
-    fn stop_signal_wakes_a_waiter_blocked_on_a_long_timeout() {
-        // The waiter's timeout is an hour, so only `stop` can end its wait
-        // in time: a lost wakeup hangs this test rather than passing it.
-        let signal = StopSignal::default();
+    fn watchdog_returns_when_its_stop_sender_drops() {
+        // An hour's budget and tick, so only the dropped sender can end the
+        // watchdog's wait in time: a lost wakeup hangs this test rather
+        // than passing it.
+        let watch: Vec<WatchSlot> = (0..2).map(|_| WatchSlot::default()).collect();
+        let run_start = Instant::now();
+        let (stop, stopped) = mpsc::channel();
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
+            let watchdog = scope.spawn(|| {
                 barrier.wait();
-                signal.wait(Duration::from_secs(3600))
+                let hour = Duration::from_secs(3600);
+                watchdog_loop(stopped, &watch, &run_start, hour.as_micros() as u64, hour);
             });
             barrier.wait();
-            signal.stop();
-            assert!(waiter.join().unwrap(), "the wait ended on the stop");
+            drop(stop);
+            watchdog.join().unwrap();
         });
-        // A stopped signal answers at once; an unstopped one times out.
-        assert!(signal.wait(Duration::from_secs(3600)));
-        assert!(!StopSignal::default().wait(Duration::from_millis(1)));
     }
 
     #[test]
