@@ -21,10 +21,12 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use ant_bench::history::{self, DEFAULT_LEDGER, DEFAULT_THRESHOLD};
 use ant_bench::obsctl::{
     cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, trend,
+    Source,
 };
 
 const USAGE: &str = "usage: obsctl <trace|flame|ledger|status|jobs|redundancy|cache> [options]
@@ -217,42 +219,50 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let follow = take_switch(&mut args, "--follow");
-    let interval_ms = take_parsed(&mut args, "--interval-ms", 500u64)?.max(50);
+    let follow = take_follow(&mut args)?;
     let operand = match args.as_slice() {
         [] => None,
         [one] => Some(one.as_str()),
         _ => return Err(format!("status wants at most one PATH|URL, got {args:?}")),
     };
-    let source = status::Source::resolve(operand);
-    loop {
-        let text = source.fetch()?;
-        let block = status::render(&text)?;
-        print!("{block}");
-        if !follow || status::is_done(&text) {
-            return Ok(());
-        }
-        println!("---");
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-    }
+    let source = Source::resolve(operand, "/status");
+    watch(&source, follow, status::render, status::is_done)
 }
 
 fn cmd_jobs(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let follow = take_switch(&mut args, "--follow");
-    let interval_ms = take_parsed(&mut args, "--interval-ms", 500u64)?.max(50);
+    let follow = take_follow(&mut args)?;
     let [operand] = args.as_slice() else {
         return Err(format!("jobs wants exactly one URL|FILE, got {args:?}"));
     };
-    let source = jobs::Source::resolve(operand);
+    let source = Source::resolve(Some(operand), "/jobs");
+    watch(&source, follow, jobs::render, jobs::all_terminal)
+}
+
+/// `--follow [--interval-ms N]`: the re-read interval when following.
+fn take_follow(args: &mut Vec<String>) -> Result<Option<Duration>, String> {
+    let follow = take_switch(args, "--follow");
+    let interval_ms = take_parsed(args, "--interval-ms", 500u64)?.max(50);
+    Ok(follow.then(|| Duration::from_millis(interval_ms)))
+}
+
+/// Prints `source` through `render`; when following, re-reads it at the
+/// interval until `finished` holds for what it read.
+fn watch(
+    source: &Source,
+    follow: Option<Duration>,
+    render: fn(&str) -> Result<String, String>,
+    finished: fn(&str) -> bool,
+) -> Result<(), String> {
     loop {
         let text = source.fetch()?;
-        let board = jobs::render(&text)?;
-        print!("{board}");
-        if !follow || jobs::all_terminal(&text) {
-            return Ok(());
+        print!("{}", render(&text)?);
+        match follow {
+            Some(interval) if !finished(&text) => {
+                println!("---");
+                std::thread::sleep(interval);
+            }
+            _ => return Ok(()),
         }
-        println!("---");
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
 }

@@ -4,17 +4,18 @@
 //! ANT_SWEEPD_ADDR=127.0.0.1:0 sweepd
 //! ```
 //!
-//! Binds an HTTP/JSONL listener (see `ant_bench::serve`), recovers any
-//! interrupted jobs from the spool, and runs until killed. Configuration is
-//! entirely environment-driven (`ANT_SWEEPD_*`; defaults in
-//! `docs/OBSERVABILITY.md`), so the binary takes no arguments:
+//! Recovers any interrupted jobs from the spool, serves its job routes on
+//! the `ant-obs` HTTP listener (see `ant_bench::serve`), and runs until
+//! killed. Configuration is entirely environment-driven (`ANT_SWEEPD_*`;
+//! defaults in `docs/OBSERVABILITY.md`), so the binary takes no arguments:
 //!
 //! - `POST /jobs` submits a sweep spec (tenant, model, machines, sparsity
 //!   grid, weight, deadline);
 //! - `GET /jobs` / `GET /jobs/{id}` report queue position, attempts,
 //!   backoff schedule, and result paths;
-//! - `GET /status` and `GET /metrics` expose live progress and the
-//!   `sweepd.*` service counters.
+//! - `GET /status`, `GET /metrics` and `GET /healthz`, which the listener
+//!   answers itself as it does for the metrics exporter, expose live
+//!   progress and the `sweepd.*` service counters.
 //!
 //! The daemon is crash-safe by construction: every state transition spools
 //! a job record and every running job checkpoints per grid cell, so a

@@ -37,6 +37,51 @@ pub mod status;
 pub mod trace;
 pub mod trend;
 
+/// Where one `obsctl status` or `obsctl jobs` read comes from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Source {
+    /// A file on disk: a status file or a saved job board.
+    File(std::path::PathBuf),
+    /// A server URL; the command's route is appended when it has no path.
+    Http(String),
+}
+
+impl Source {
+    /// Resolves a CLI operand: `http://` strings become HTTP sources (with
+    /// `route`, `/status` or `/jobs`, appended when pathless), anything else
+    /// a file path, and `None` the runner's default status file (only
+    /// `obsctl status` takes no operand).
+    pub fn resolve(operand: Option<&str>, route: &str) -> Source {
+        let Some(raw) = operand else {
+            return Source::File(ant_obs::progress::status_file());
+        };
+        match raw.strip_prefix("http://") {
+            Some(rest) if !rest.contains('/') => Source::Http(format!("{raw}{route}")),
+            Some(_) => Source::Http(raw.to_string()),
+            None => Source::File(std::path::PathBuf::from(raw)),
+        }
+    }
+
+    /// Reads the current document text from the source.
+    ///
+    /// # Errors
+    ///
+    /// Errors with a human-readable reason when the file is unreadable or
+    /// the server is unreachable / non-200.
+    pub fn fetch(&self) -> Result<String, String> {
+        match self {
+            Source::File(path) => std::fs::read_to_string(path)
+                .map(|s| s.trim().to_string())
+                .map_err(|e| format!("cannot read {}: {e}", path.display())),
+            Source::Http(url) => match ant_obs::export::http_get(url) {
+                Ok((200, body)) => Ok(body.trim().to_string()),
+                Ok((code, body)) => Err(format!("{url} answered {code}: {}", body.trim())),
+                Err(e) => Err(format!("cannot reach {url}: {e}")),
+            },
+        }
+    }
+}
+
 /// Pulls `--name value` out of `args`, returning the value.
 ///
 /// # Errors

@@ -10,62 +10,6 @@ use std::fmt::Write as _;
 
 use ant_obs::json::Json;
 
-/// Where one status read comes from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Source {
-    /// A status file on disk.
-    File(std::path::PathBuf),
-    /// An exporter URL; `/status` is appended when the URL has no path.
-    Http(String),
-}
-
-impl Source {
-    /// Resolves the optional CLI operand: `http://` strings become HTTP
-    /// sources (with `/status` appended when pathless), anything else a
-    /// file path, and `None` the runner's default status file.
-    pub fn resolve(operand: Option<&str>) -> Source {
-        match operand {
-            Some(raw) if raw.starts_with("http://") => {
-                let rest = &raw["http://".len()..];
-                if rest.contains('/') {
-                    Source::Http(raw.to_string())
-                } else {
-                    Source::Http(format!("{raw}/status"))
-                }
-            }
-            Some(raw) => Source::File(std::path::PathBuf::from(raw)),
-            None => Source::File(ant_obs::progress::status_file()),
-        }
-    }
-
-    /// Reads the current status JSON text from the source.
-    ///
-    /// # Errors
-    ///
-    /// Errors with a human-readable reason when the file is unreadable or
-    /// the endpoint is unreachable / non-200.
-    pub fn fetch(&self) -> Result<String, String> {
-        match self {
-            Source::File(path) => std::fs::read_to_string(path)
-                .map(|s| s.trim().to_string())
-                .map_err(|e| format!("cannot read {}: {e}", path.display())),
-            Source::Http(url) => match ant_obs::export::http_get(url) {
-                Ok((200, body)) => Ok(body.trim().to_string()),
-                Ok((code, body)) => Err(format!("{url} answered {code}: {}", body.trim())),
-                Err(e) => Err(format!("cannot reach {url}: {e}")),
-            },
-        }
-    }
-
-    /// Human-readable description of the source for the report header.
-    pub fn describe(&self) -> String {
-        match self {
-            Source::File(path) => path.display().to_string(),
-            Source::Http(url) => url.clone(),
-        }
-    }
-}
-
 /// True when the status text reports a finished run (`state == "done"`).
 pub fn is_done(text: &str) -> bool {
     ant_obs::parse_json(text)
@@ -150,6 +94,7 @@ pub fn render(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obsctl::Source;
 
     fn sample(state: &str) -> String {
         format!(
@@ -168,18 +113,18 @@ mod tests {
     #[test]
     fn resolve_maps_operands_to_sources() {
         assert_eq!(
-            Source::resolve(Some("http://127.0.0.1:9100")),
+            Source::resolve(Some("http://127.0.0.1:9100"), "/status"),
             Source::Http("http://127.0.0.1:9100/status".to_string())
         );
         assert_eq!(
-            Source::resolve(Some("http://127.0.0.1:9100/status")),
+            Source::resolve(Some("http://127.0.0.1:9100/status"), "/status"),
             Source::Http("http://127.0.0.1:9100/status".to_string())
         );
         assert_eq!(
-            Source::resolve(Some("some/status.json")),
+            Source::resolve(Some("some/status.json"), "/status"),
             Source::File(std::path::PathBuf::from("some/status.json"))
         );
-        assert!(matches!(Source::resolve(None), Source::File(_)));
+        assert!(matches!(Source::resolve(None, "/status"), Source::File(_)));
     }
 
     #[test]

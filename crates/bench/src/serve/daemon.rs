@@ -13,6 +13,10 @@
 //! and leaves the affected layers out of the checkpoint — an expired job
 //! keeps its sidecar, so a re-submission *resumes*.
 //!
+//! The daemon serves its job routes (`POST /jobs`, `GET /jobs[/{id}]`) on
+//! the `ant-obs` listener, which answers `/metrics`, `/status` and
+//! `/healthz` itself.
+//!
 //! Every job persists a record under the spool directory
 //! (`job-<seq>.json`, schema [`JOB_SCHEMA`]) and checkpoints per grid cell
 //! (`ckpt-<spec-hash>-c<cell>.jsonl`, the PR 5 `ant-checkpoint/1` format,
@@ -32,6 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use ant_obs::export::{Listener, Request, Response};
 use ant_obs::json::{write_json_string, Json};
 use ant_sim::chaos::{self, ServiceFault};
 use ant_sim::AntError;
@@ -39,7 +44,6 @@ use ant_sim::AntError;
 use crate::checkpoint::CheckpointFile;
 use crate::fingerprint::StableHasher;
 use crate::runner::{try_simulate_network_parallel_checkpointed, RunOptions};
-use crate::serve::http;
 use crate::serve::queue::{FairQueue, Shed};
 use crate::serve::spec::JobSpec;
 use crate::serve::SweepdConfig;
@@ -159,11 +163,11 @@ pub struct Job {
 }
 
 #[derive(Debug)]
-pub(crate) struct State {
-    pub(crate) queue: FairQueue,
-    pub(crate) jobs: BTreeMap<u64, Job>,
+struct State {
+    queue: FairQueue,
+    jobs: BTreeMap<u64, Job>,
     /// `(wake_at_ms, seq)` for jobs waiting out a retry backoff.
-    pub(crate) backoff: Vec<(u64, u64)>,
+    backoff: Vec<(u64, u64)>,
     durations: VecDeque<u64>,
     /// Seqs of the finished jobs whose terminal record is in the spool,
     /// oldest first; at most [`RECENT_JOBS`].
@@ -171,19 +175,19 @@ pub(crate) struct State {
     next_seq: u64,
 }
 
-/// Shared daemon state: HTTP handlers and the scheduler both hold an
+/// Shared daemon state: the route function and the scheduler both hold an
 /// `Arc<Inner>`.
 #[derive(Debug)]
-pub(crate) struct Inner {
-    pub(crate) config: SweepdConfig,
-    pub(crate) state: Mutex<State>,
-    pub(crate) cv: Condvar,
-    pub(crate) stop: AtomicBool,
+struct Inner {
+    config: SweepdConfig,
+    state: Mutex<State>,
+    cv: Condvar,
+    stop: AtomicBool,
     spool_writes: AtomicU64,
 }
 
 impl Inner {
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
@@ -216,9 +220,8 @@ pub fn backoff_ms(seed: u64, seq: u64, attempt: u32, base_ms: u64) -> u64 {
 #[derive(Debug)]
 pub struct Sweepd {
     inner: Arc<Inner>,
-    addr: std::net::SocketAddr,
-    http: Option<std::thread::JoinHandle<()>>,
-    sched: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
+    sched: std::thread::JoinHandle<()>,
 }
 
 impl Sweepd {
@@ -244,35 +247,35 @@ impl Sweepd {
             spool_writes: AtomicU64::new(0),
         });
         publish_queue_depth(&inner.lock());
-        let (addr, http) = http::serve(inner.clone())?;
+        let route_inner = inner.clone();
+        let listener = ant_obs::export::listen(&inner.config.addr, move |request| {
+            route(&route_inner, request)
+        })
+        .map_err(|e| AntError::io(format!("listen on {}", inner.config.addr), &e))?;
         let sched_inner = inner.clone();
         let sched = std::thread::Builder::new()
             .name("ant-sweepd-sched".to_string())
             .spawn(move || scheduler_loop(&sched_inner))
             .map_err(|e| AntError::io("spawn scheduler", &e))?;
         if let Some(path) = &inner.config.addr_file {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            let _ = std::fs::write(path, format!("{addr}\n"));
+            ant_obs::export::write_addr_file(path, listener.addr());
         }
         Ok(Sweepd {
             inner,
-            addr,
-            http: Some(http),
-            sched: Some(sched),
+            listener,
+            sched,
         })
     }
 
     /// The bound listen address (useful after requesting port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Signals both threads to stop and joins them. A job mid-attempt
     /// finishes first (attempts are not torn down — the checkpoint makes a
     /// `kill -9` safe, but an orderly shutdown is cleaner still).
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         // Set under the state lock, so the scheduler either sees the flag
         // before it parks or is parked and gets the notify.
         {
@@ -280,27 +283,15 @@ impl Sweepd {
             self.inner.stop.store(true, Ordering::SeqCst);
         }
         self.inner.cv.notify_all();
-        if let Some(h) = self.sched.take() {
-            let _ = h.join();
-        }
-        // The listener is blocked in `accept`; one connection wakes it to
-        // see the flag. Without that wake it would never return.
-        if http::wake(self.addr) {
-            if let Some(h) = self.http.take() {
-                let _ = h.join();
-            }
-        }
+        let _ = self.sched.join();
+        self.listener.shutdown();
     }
 
     /// Blocks until the scheduler thread exits (it never does unless
     /// [`Sweepd::shutdown`] is called — the daemon runs until killed).
-    pub fn join(mut self) {
-        if let Some(h) = self.sched.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.http.take() {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        let _ = self.sched.join();
+        self.listener.join();
     }
 }
 
@@ -391,9 +382,38 @@ fn retire(st: &mut State, seq: u64, spooled: bool) {
     }
 }
 
+/// The daemon's routes on the `ant-obs` listener:
+///
+/// - `POST /jobs` — submit a [`JobSpec`]; `202` with id and queue position,
+///   `400` invalid spec, `429` queue full, `503` past deadline (the latter
+///   two counted as `sweepd.job.shed`).
+/// - `GET /jobs` — the live jobs and the most recently finished ones with
+///   state, attempts, queue position, and ETA (schema [`JOBS_SCHEMA`]).
+/// - `GET /jobs/{id}` — one job by external id or sequence number, read
+///   back from the spool once it has left memory.
+fn route(inner: &Inner, request: Request<'_>) -> Option<Response> {
+    const JSON: &str = "application/json";
+    match (request.method, request.path) {
+        ("POST", "/jobs") => {
+            let (status, body) = submit(inner, request.body);
+            Some((status, JSON, body))
+        }
+        ("GET", "/jobs") => Some(("200 OK", JSON, jobs_json(inner))),
+        ("GET", path) => Some(match job_json(inner, path.strip_prefix("/jobs/")?) {
+            Some(body) => ("200 OK", JSON, body),
+            None => (
+                "404 Not Found",
+                JSON,
+                "{\"error\":\"unknown job\"}\n".to_string(),
+            ),
+        }),
+        _ => None,
+    }
+}
+
 /// Handles `POST /jobs`: validate, shed, or admit. Returns the HTTP status
 /// line and JSONL body.
-pub(crate) fn submit(inner: &Inner, body: &str) -> (&'static str, String) {
+fn submit(inner: &Inner, body: &str) -> (&'static str, String) {
     let registry = ant_obs::registry();
     let spec = match JobSpec::parse(body) {
         Ok(spec) => spec,
@@ -478,8 +498,10 @@ fn error_body(code: u16, kind: &str, detail: &str) -> String {
     out
 }
 
-/// Renders one job as its wire JSON object (no trailing newline).
-fn job_object(inner: &Inner, st: &State, job: &Job) -> String {
+/// Renders one job as its `ant-sweepd-job/1` object (no trailing newline):
+/// the wire body of `GET /jobs[/{id}]` and the spool record alike. Only the
+/// wire passes the locked state, for a queued job's position and ETA.
+fn job_object(inner: &Inner, job: &Job, st: Option<&State>) -> String {
     let mut out = String::with_capacity(256);
     out.push_str(&format!("{{\"schema\":\"{JOB_SCHEMA}\",\"id\":"));
     write_json_string(&job.id, &mut out);
@@ -495,7 +517,8 @@ fn job_object(inner: &Inner, st: &State, job: &Job) -> String {
         Some(ms) => out.push_str(&format!(",\"deadline_at_ms\":{ms}")),
         None => out.push_str(",\"deadline_at_ms\":null"),
     }
-    if let Some(position) = st.queue.position_of(job.seq) {
+    let position = st.and_then(|st| st.queue.position_of(job.seq));
+    if let (Some(st), Some(position)) = (st, position) {
         out.push_str(&format!(",\"position\":{position}"));
         let mean = mean_duration(st);
         match mean {
@@ -551,7 +574,7 @@ fn mean_duration(st: &State) -> Option<u64> {
 
 /// `GET /jobs`: the live jobs plus the recently finished ones, seq order,
 /// schema [`JOBS_SCHEMA`].
-pub(crate) fn jobs_json(inner: &Inner) -> String {
+fn jobs_json(inner: &Inner) -> String {
     let st = inner.lock();
     let mut out = String::with_capacity(256);
     out.push_str(&format!("{{\"schema\":\"{JOBS_SCHEMA}\",\"queue_depth\":{},\"jobs\":[", st.queue.len()));
@@ -559,7 +582,7 @@ pub(crate) fn jobs_json(inner: &Inner) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&job_object(inner, &st, job));
+        out.push_str(&job_object(inner, job, Some(&st)));
     }
     out.push_str("]}\n");
     out
@@ -568,7 +591,7 @@ pub(crate) fn jobs_json(inner: &Inner) -> String {
 /// `GET /jobs/{id}`: one job by external id (or numeric seq), `None` when
 /// unknown. The seq is the id's last field; a job no longer in memory is
 /// read back from its spool record, and either way the whole id must match.
-pub(crate) fn job_json(inner: &Inner, id: &str) -> Option<String> {
+fn job_json(inner: &Inner, id: &str) -> Option<String> {
     let (seq, bare) = match id.parse::<u64>() {
         Ok(seq) => (seq, true),
         Err(_) => (id.rsplit('-').next()?.parse::<u64>().ok()?, false),
@@ -577,7 +600,7 @@ pub(crate) fn job_json(inner: &Inner, id: &str) -> Option<String> {
     {
         let st = inner.lock();
         if let Some(job) = st.jobs.get(&seq) {
-            return matches(job).then(|| job_object(inner, &st, job) + "\n");
+            return matches(job).then(|| job_object(inner, job, Some(&st)) + "\n");
         }
         if seq >= st.next_seq {
             return None;
@@ -585,7 +608,7 @@ pub(crate) fn job_json(inner: &Inner, id: &str) -> Option<String> {
     }
     let text = std::fs::read_to_string(inner.config.spool.join(format!("job-{seq}.json"))).ok()?;
     let job = parse_job(&text).filter(|j| j.seq == seq && j.state.is_terminal() && matches(j))?;
-    Some(job_object(inner, &inner.lock(), &job) + "\n")
+    Some(job_object(inner, &job, None) + "\n")
 }
 
 fn result_paths(inner: &Inner, seq: u64) -> (PathBuf, PathBuf) {
@@ -612,39 +635,7 @@ fn write_job_record(inner: &Inner, job: &Job) -> bool {
     }
     let path = inner.config.spool.join(format!("job-{}.json", job.seq));
     let tmp = inner.config.spool.join(format!("job-{}.json.tmp", job.seq));
-    let mut out = String::with_capacity(512);
-    out.push_str(&format!("{{\"schema\":\"{JOB_SCHEMA}\",\"seq\":{},\"id\":", job.seq));
-    write_json_string(&job.id, &mut out);
-    out.push_str(&format!(",\"state\":\"{}\"", job.state.tag()));
-    out.push_str(&format!(",\"submitted_ms\":{}", job.submitted_ms));
-    match job.deadline_at_ms {
-        Some(ms) => out.push_str(&format!(",\"deadline_at_ms\":{ms}")),
-        None => out.push_str(",\"deadline_at_ms\":null"),
-    }
-    out.push_str(&format!(
-        ",\"recovered\":{},\"pair_retries\":{},\"quarantined_pairs\":{},\
-         \"deadline_skipped\":{}",
-        job.recovered, job.pair_retries, job.quarantined_pairs, job.deadline_skipped
-    ));
-    match job.duration_ms {
-        Some(ms) => out.push_str(&format!(",\"duration_ms\":{ms}")),
-        None => out.push_str(",\"duration_ms\":null"),
-    }
-    out.push_str(",\"attempts\":[");
-    for (i, a) in job.attempts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"attempt\":{},\"error\":", a.attempt));
-        write_json_string(&a.error, &mut out);
-        match a.backoff_ms {
-            Some(ms) => out.push_str(&format!(",\"backoff_ms\":{ms}}}")),
-            None => out.push_str(",\"backoff_ms\":null}"),
-        }
-    }
-    out.push_str("],\"spec\":");
-    write_json_string(&job.spec.canonical_json(), &mut out);
-    out.push_str("}\n");
+    let out = job_object(inner, job, None) + "\n";
     let write = std::fs::write(&tmp, &out).and_then(|()| std::fs::rename(&tmp, &path));
     if let Err(e) = write {
         ant_obs::registry().counter("sweepd.spool.io_errors").incr();
@@ -1124,6 +1115,9 @@ mod tests {
         assert_eq!(parsed.deadline_at_ms, Some(6_000));
         assert_eq!(parsed.pair_retries, 2);
         assert_eq!(parsed.quarantined_pairs, 1);
+        // The record is the wire object without the queue fields, so it
+        // renders back byte for byte.
+        assert_eq!(job_object(&inner, &parsed, None) + "\n", text);
         assert!(parse_job("not json").is_none());
         assert!(parse_job("{\"schema\":\"other/1\"}").is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -16,23 +16,23 @@
 //!   and every state transition persists to a spool so a `kill -9` recovers
 //!   to byte-identical results (checkpoints are keyed by
 //!   [`JobSpec::content_hash`], so re-submission *resumes*).
-//! - [`http`] — the wire surface: `POST /jobs`, `GET /jobs[/{id}]`,
-//!   `GET /status`, `GET /metrics`, `GET /healthz`.
 //!
-//! Service health shows up in the process metrics registry as
-//! `sweepd.queue.*` and `sweepd.job.*`, scrapeable from the daemon's own
-//! `/metrics` endpoint and renderable with `obsctl`.
+//! The daemon serves `POST /jobs` and `GET /jobs[/{id}]` on the `ant-obs`
+//! listener ([`ant_obs::export::listen`]), which also answers
+//! `GET /status`, `GET /metrics` and `GET /healthz`. Service health shows
+//! up in the process metrics registry as `sweepd.queue.*` and
+//! `sweepd.job.*`, scrapeable from the daemon's own `/metrics` endpoint and
+//! renderable with `obsctl`.
 
 pub mod daemon;
-pub mod http;
 pub mod queue;
 pub mod spec;
 
+pub use ant_obs::export::http_post;
 pub use daemon::{
     backoff_ms, AttemptRecord, Job, JobState, Sweepd, ERROR_SCHEMA, JOBS_SCHEMA, JOB_SCHEMA,
     RECENT_JOBS, RESULT_SCHEMA,
 };
-pub use http::http_post;
 pub use queue::{FairQueue, Shed};
 pub use spec::{JobSpec, MACHINES, MAX_WEIGHT, MODELS, SPARSIFIERS};
 

@@ -31,7 +31,8 @@
 //! * **Metrics exporter** ([`export`]) — an embedded std-only HTTP server
 //!   (`ANT_METRICS_ADDR=host:port`) serving `GET /metrics` (Prometheus text
 //!   exposition of the process registry), `GET /status` (live `ant-status/1`
-//!   JSON), and `GET /healthz`. Off by default with zero overhead.
+//!   JSON), and `GET /healthz`. Off by default with zero overhead. Its
+//!   listener is the one other servers add routes to.
 //!
 //! See `docs/OBSERVABILITY.md` for the full event schema and workflows.
 

@@ -12,6 +12,13 @@ cargo test -q
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark build + tests (perfbench/, against this tree's crates)"
+# perfbench is its own package with path dependencies on crates/*, so a
+# harness change that breaks an import it relies on fails here, not in the
+# benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
+  --manifest-path perfbench/Cargo.toml
+
 echo "== profile smoke (tiny workload + Perfetto JSON validation, telemetry on)"
 # ANT_TELEMETRY + ANT_PROFILE also exercises the per-worker host tracks
 # (pair/steal spans and deque-depth counters) in the same sidecar.
