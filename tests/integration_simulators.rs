@@ -1,6 +1,7 @@
 //! Cross-crate integration: simulator machines vs each other and vs the
 //! analytical models, on real workload geometries.
 
+use ant_bench::report::geomean;
 use ant_bench::runner::{
     energy_ratio, simulate_network, speedup, try_simulate_network_parallel, ExperimentConfig,
     RunOptions,
@@ -216,4 +217,83 @@ fn golden_mini_experiment() {
         (11648, 3352, 1148),
         "pipeline behaviour drifted: got {golden:?}"
     );
+}
+
+/// The paper's headline numbers, pinned: the first rows of the conformance
+/// table (ROADMAP item 4). The Fig. 9 grid runs at the paper configuration
+/// through the parallel runner, SCNN+ then ANT per network, exactly as the
+/// `fig09_speedup_energy` and `tab05_rcps_avoided` binaries call it.
+///
+/// Each row is (quantity, paper, reproduced, tolerance): the geomeans
+/// within 2.5% of the paper, the Table 5 average within 1.5 points. The
+/// wall cycles are pinned exactly as `fig09_speedup_energy.csv` prints them,
+/// so a host-side change that moves any simulated count fails here.
+#[test]
+fn fig09_and_table5_match_the_paper() {
+    let cfg = ExperimentConfig::paper_default();
+    let energy = EnergyModel::paper_7nm();
+    let opts = RunOptions::default();
+    let expected_cycles: [(&str, u64, u64); 5] = [
+        ("DenseNet-121/CIFAR", 2_600_389, 443_152),
+        ("ResNet18/CIFAR", 457_365, 218_356),
+        ("VGG16/CIFAR", 173_861, 113_320),
+        ("WRN-16-8/CIFAR", 1_248_902, 412_563),
+        ("ResNet50/ImageNet", 26_849_909, 2_286_335),
+    ];
+    let nets = models::figure9_networks();
+    assert_eq!(nets.len(), expected_cycles.len());
+    let (mut speedups, mut energies, mut avoided) = (Vec::new(), Vec::new(), Vec::new());
+    for (net, (name, scnn_cycles, ant_cycles)) in nets.iter().zip(expected_cycles) {
+        let s = try_simulate_network_parallel(&ScnnPlus::paper_default(), net, &cfg, &opts)
+            .expect("SCNN+ run");
+        let a = try_simulate_network_parallel(&AntAccelerator::paper_default(), net, &cfg, &opts)
+            .expect("ANT run");
+        assert_eq!(net.name, name);
+        assert!(!s.partial && !a.partial, "{name}: partial result");
+        assert_eq!(
+            (s.wall_cycles, a.wall_cycles),
+            (scnn_cycles, ant_cycles),
+            "{name}: (SCNN+, ANT) wall cycles drifted"
+        );
+        speedups.push(speedup(&s, &a));
+        energies.push(energy_ratio(&s, &a, &energy));
+        avoided.push(100.0 * a.total.rcps_avoided_fraction());
+    }
+    let (geo_speedup, geo_energy) = (geomean(&speedups), geomean(&energies));
+    let average_avoided = avoided.iter().sum::<f64>() / avoided.len() as f64;
+    let relative = |paper: f64, got: f64| (got - paper).abs() / paper;
+    let rows = [
+        (
+            "Fig. 9 geomean speedup",
+            3.71,
+            geo_speedup,
+            relative(3.71, geo_speedup),
+            0.025,
+        ),
+        (
+            "Fig. 9 geomean energy reduction",
+            4.40,
+            geo_energy,
+            relative(4.40, geo_energy),
+            0.025,
+        ),
+        (
+            "Table 5 average RCPs avoided (%)",
+            90.3,
+            average_avoided,
+            (average_avoided - 90.3).abs(),
+            1.5,
+        ),
+    ];
+    for (quantity, paper, reproduced, off_by, tolerance) in rows {
+        assert!(
+            off_by <= tolerance,
+            "{quantity}: paper {paper}, reproduced {reproduced:.3}, off by {off_by:.4} > {tolerance}"
+        );
+    }
+    // The reproduced values as the binaries print them (3.68x / 4.35x,
+    // 91.0%), so a drift inside the tolerance is still noticed.
+    assert_eq!(format!("{geo_speedup:.2}"), "3.68");
+    assert_eq!(format!("{geo_energy:.2}"), "4.35");
+    assert_eq!(format!("{average_avoided:.1}"), "91.0");
 }
