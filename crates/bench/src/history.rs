@@ -705,7 +705,9 @@ impl WorkloadSet {
 /// deterministic cycle/energy metrics from the first repeat, min-of-K wall
 /// time with its relative spread as the noise floor, allocator traffic when
 /// the counting allocator is active (it is, in `ant-bench` binaries — this
-/// function enables counting), and an informational throughput rate.
+/// function enables counting), and an informational throughput rate. The
+/// first repeat runs at the set's config; each later cold repeat `i` at
+/// seed `config seed + (i << 32)`, so every cold repeat synthesizes.
 pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
     let repeats = repeats.max(1);
     ant_obs::alloc::enable();
@@ -731,7 +733,19 @@ pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
             let _ = simulate_network_parallel(&scnn, &net, &cfg);
             let _ = simulate_network_parallel(&ant, &net, &cfg);
         }
-        for _ in 0..repeats {
+        for i in 0..repeats {
+            // Cold repeat i runs at its own seed (the benchmark's cold-op
+            // rule), so each one synthesizes its operands once, as a fresh
+            // fig09 process does, instead of reusing the runner's operand
+            // slot from the repeat before. Repeat 0 is the config's seed.
+            let cfg = if set.warm_cache() {
+                cfg
+            } else {
+                ExperimentConfig {
+                    seed: cfg.seed.wrapping_add(u64::from(i) << 32),
+                    ..cfg
+                }
+            };
             let before = ant_obs::alloc::snapshot();
             let started = Instant::now();
             let s = simulate_network_parallel(&scnn, &net, &cfg);

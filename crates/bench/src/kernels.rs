@@ -18,6 +18,11 @@
 //!   ([`CsrMatrix::from_dense`]).
 //! * `fingerprint` — once-per-layer content keying for the simulation
 //!   cache ([`KeyBuilder::write_csr`] over a ResNet-scale plane).
+//! * `useful_count_fwd` / `useful_count_upd` — the exact useful-product
+//!   counter SCNN+, GoSPA and DST run on every pair
+//!   ([`count_useful_products_with`]) on the ResNet-50 stem's forward pair
+//!   (the row walk at 90% sparsity) and update pair (the prefix planes),
+//!   reusing one [`NzCounterScratch`] like the simulator.
 //!
 //! Each bench takes min-of-K batch timings (`std::hint::black_box` on every
 //! checksum so nothing folds away) and lands in the ledger as
@@ -32,7 +37,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use ant_conv::rcp::IndexRange;
+use ant_conv::rcp::{count_useful_products_with, IndexRange, NzCounterScratch};
+use ant_conv::ConvShape;
 use ant_core::fnir::Fnir;
 use ant_core::range::GroupRanges;
 use ant_core::scan::{scan_kernel_into, KernelScan};
@@ -307,7 +313,7 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
         ));
         benches.push(KernelBench::new(
             "fingerprint",
-            case,
+            case.clone(),
             64,
             Box::new(move || {
                 let mut key = KeyBuilder::default();
@@ -317,6 +323,42 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
                 key.hi ^ key.lo
             }),
         ));
+
+        // Useful-product counting on the ResNet-50 stem (224x224 padded to
+        // 230x230): the forward pair, a 7x7 kernel at stride 2, and the
+        // update pair, the 112x112 G_A dilated by 2 with the 7x7 forward
+        // kernel's extent as output.
+        let stem = [
+            ("useful_count_fwd", ConvShape::new(7, 7, 230, 230, 2), 16),
+            (
+                "useful_count_upd",
+                ConvShape::with_output(112, 112, 230, 230, 1, 2, 7, 7),
+                8,
+            ),
+        ];
+        for (kernel_name, shape, iters) in stem {
+            let shape = shape.unwrap_or_else(|_| unreachable!("the stem's shapes are valid"));
+            let mut rng = StdRng::seed_from_u64(seed_for(kernel_name, sparsity));
+            let kernel = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
+                shape.kernel_h(),
+                shape.kernel_w(),
+                sparsity,
+                &mut rng,
+            ));
+            let image = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
+                shape.image_h(),
+                shape.image_w(),
+                sparsity,
+                &mut rng,
+            ));
+            let mut scratch = NzCounterScratch::new();
+            benches.push(KernelBench::new(
+                kernel_name,
+                case.clone(),
+                iters,
+                Box::new(move || count_useful_products_with(&kernel, &image, &shape, &mut scratch)),
+            ));
+        }
     }
     benches
 }
@@ -375,7 +417,7 @@ mod tests {
     fn standard_benches_cover_every_kernel_at_every_point() {
         for (grid, points) in [(Grid::Full, 3), (Grid::Tiny, 1)] {
             let benches = standard_benches(grid);
-            assert_eq!(benches.len(), 6 * points);
+            assert_eq!(benches.len(), 8 * points);
             let names: std::collections::BTreeSet<String> = benches
                 .iter()
                 .map(|b| format!("{}/{}", b.kernel(), b.case()))
@@ -388,6 +430,8 @@ mod tests {
                 "accum_conflict",
                 "csr_compress",
                 "fingerprint",
+                "useful_count_fwd",
+                "useful_count_upd",
             ] {
                 assert_eq!(
                     benches.iter().filter(|b| b.kernel() == kernel).count(),
@@ -401,7 +445,7 @@ mod tests {
     #[test]
     fn tiny_grid_measures_and_builds_a_ledger_entry() {
         let (results, entry) = record(Grid::Tiny, 2);
-        assert_eq!(results.len(), 6);
+        assert_eq!(results.len(), 8);
         for r in &results {
             assert!(
                 r.measurement.ns_per_op > 0.0,
@@ -411,7 +455,7 @@ mod tests {
             assert!(r.measurement.spread >= 0.0);
         }
         assert_eq!(entry.label, LABEL);
-        assert_eq!(entry.metrics.len(), 12); // ns_per_op + _spread per bench
+        assert_eq!(entry.metrics.len(), 16); // ns_per_op + _spread per bench
         for r in &results {
             let name = r.metric_name();
             assert_eq!(entry.metrics[&name], r.measurement.ns_per_op);

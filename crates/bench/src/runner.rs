@@ -10,7 +10,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
@@ -22,6 +22,7 @@ use ant_sim::{AntError, ConvSim, SimScratch, SimStats};
 use ant_sparse::CsrMatrix;
 use ant_workloads::models::NetworkModel;
 use ant_workloads::synth::{synthesize_layer, LayerSparsity};
+use ant_workloads::ConvLayerSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -807,11 +808,12 @@ enum LayerPlan {
     /// from the checkpoint or served by the cache. Nothing is simulated or
     /// recorded for the layer.
     Stored(Box<[SimStats; 3]>),
-    /// Synthesized by this run: its pairs are simulated, and its result is
-    /// recorded to the checkpoint and, under `keys` (memo key, content
-    /// key), to the cache.
+    /// Synthesized operands, by this run or an earlier call on the same
+    /// operand key ([`synthesize_layers`]): its pairs are simulated, and its
+    /// result is recorded to the checkpoint and, under `keys` (memo key,
+    /// content key), to the cache.
     Fresh {
-        work: LayerWork,
+        work: Arc<LayerWork>,
         keys: Option<(CacheKey, CacheKey)>,
     },
 }
@@ -983,10 +985,7 @@ fn plan(
     let pending: Vec<usize> = (0..early.len())
         .filter(|&li| early[li].1.is_none())
         .collect();
-    let works: Vec<Option<LayerWork>> = synthesize_layers(net, cfg, &pending, threads)
-        .into_iter()
-        .map(Option::transpose)
-        .collect::<Result<_, _>>()?;
+    let works = synthesize_layers(net, cfg, &pending, threads)?;
     let mut layers = Vec::with_capacity(early.len());
     for (li, ((memo, stored), work)) in early.into_iter().zip(works).enumerate() {
         let work = match (stored, work) {
@@ -1022,34 +1021,115 @@ fn plan(
     })
 }
 
-/// Synthesizes the `pending` layers on up to `threads` workers that claim
-/// indices from a shared atomic. Each layer's RNG seed derives from its
-/// index alone, so synthesis order is free. The calling thread is one of
-/// the workers, so a single worker spawns nothing (thread spawns dominate
-/// sub-millisecond work). Returns one slot per layer of `net`, filled for
-/// the pending ones.
+/// Everything a network's [`LayerWork`] depends on: the config's seed,
+/// sparsities and channel sample, and the layer specs (each layer's RNG
+/// seed derives from its index). Never the machine or the PE count, so
+/// every machine run on one (config, network) shares one key.
+#[derive(PartialEq)]
+struct OperandKey {
+    seed: u64,
+    /// Weight, activation and gradient sparsity, bit for bit.
+    sparsity: [u64; 3],
+    max_channels: usize,
+    layers: Vec<ConvLayerSpec>,
+}
+
+impl OperandKey {
+    fn of(net: &NetworkModel, cfg: &ExperimentConfig) -> Self {
+        let s = &cfg.sparsity;
+        OperandKey {
+            seed: cfg.seed,
+            sparsity: [s.weight, s.activation, s.gradient].map(f64::to_bits),
+            max_channels: cfg.max_channels,
+            layers: net.layers.clone(),
+        }
+    }
+}
+
+/// The most recent network's synthesized layers, shared read-only: the
+/// operand slot. Callers run several machines back to back on one (config,
+/// network), and every call after the first skips synthesis. One slot, so
+/// it never holds more than one network.
+struct OperandSlot {
+    key: OperandKey,
+    /// Per layer of the network; `None` for layers no call synthesized
+    /// (resumed from a checkpoint or served by the cache).
+    layers: Vec<Option<Arc<LayerWork>>>,
+}
+
+static OPERANDS: Mutex<Option<OperandSlot>> = Mutex::new(None);
+
+/// How many layers of `net` at `cfg` the operand slot holds: 0 unless the
+/// slot's key is exactly this (config, network). Lets tests check which
+/// network the slot serves and that it never holds two.
+#[doc(hidden)]
+pub fn held_operand_layers(net: &NetworkModel, cfg: &ExperimentConfig) -> usize {
+    let key = OperandKey::of(net, cfg);
+    let slot = OPERANDS.lock().unwrap_or_else(PoisonError::into_inner);
+    match slot.as_ref() {
+        Some(held) if held.key == key => held.layers.iter().flatten().count(),
+        _ => 0,
+    }
+}
+
+/// Returns the synthesized operands of every `pending` layer, one slot per
+/// layer of `net`. Layers the operand slot holds under this call's key are
+/// shared from it; a slot under another key is dropped before anything is
+/// synthesized. The rest are synthesized on up to `threads` workers that
+/// claim indices from a shared atomic (each layer's RNG seed derives from
+/// its index alone, so synthesis order is free) and stored in the slot.
+/// The calling thread is one of the workers, so a single worker spawns
+/// nothing (thread spawns dominate sub-millisecond work).
 fn synthesize_layers(
     net: &NetworkModel,
     cfg: &ExperimentConfig,
     pending: &[usize],
     threads: usize,
-) -> Vec<Option<Result<LayerWork, AntError>>> {
+) -> Result<Vec<Option<Arc<LayerWork>>>, AntError> {
+    let key = OperandKey::of(net, cfg);
+    let mut layers = {
+        let mut slot = OPERANDS.lock().unwrap_or_else(PoisonError::into_inner);
+        match slot.as_ref() {
+            Some(held) if held.key == key => held.layers.clone(),
+            _ => {
+                *slot = None;
+                vec![None; net.layers.len()]
+            }
+        }
+    };
+    let missing: Vec<usize> = pending
+        .iter()
+        .copied()
+        .filter(|&li| layers[li].is_none())
+        .collect();
+    if missing.is_empty() {
+        return Ok(layers);
+    }
     let slots: Vec<OnceLock<Result<LayerWork, AntError>>> =
         (0..net.layers.len()).map(|_| OnceLock::new()).collect();
-    let next_pending = AtomicUsize::new(0);
+    let next_missing = AtomicUsize::new(0);
     let synth_loop = || loop {
-        let i = next_pending.fetch_add(1, Ordering::Relaxed);
-        let Some(&li) = pending.get(i) else { break };
+        let i = next_missing.fetch_add(1, Ordering::Relaxed);
+        let Some(&li) = missing.get(i) else { break };
         let stored = slots[li].set(synthesize_layer_work(&net.layers[li], li, cfg));
         debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
     };
     std::thread::scope(|scope| {
-        for _ in 1..threads.clamp(1, pending.len().max(1)) {
+        for _ in 1..threads.clamp(1, missing.len()) {
             scope.spawn(synth_loop);
         }
         synth_loop();
     });
-    slots.into_iter().map(OnceLock::into_inner).collect()
+    for (layer, synthesized) in layers.iter_mut().zip(slots) {
+        if let Some(work) = synthesized.into_inner() {
+            *layer = Some(Arc::new(work?));
+        }
+    }
+    *OPERANDS.lock().unwrap_or_else(PoisonError::into_inner) = Some(OperandSlot {
+        key,
+        layers: layers.clone(),
+    });
+    Ok(layers)
 }
 
 /// Stage 2, dispatch. Every (layer, phase, pair) of a fresh layer becomes

@@ -11,9 +11,11 @@
 //! * [`r_range`] / [`s_range`] — the per-vector conservative index ranges ANT
 //!   computes in hardware (Eqs. 9–12), generalized to dilation;
 //! * [`ProductBreakdown`] — the Figure-1 partial-product accounting (useful
-//!   vs. RCP vs. zero-operand), with an `O(H*W)`-preprocessing /
-//!   `O(1)`-per-kernel-element exact counter that scales to ImageNet-sized
-//!   layers.
+//!   vs. RCP vs. zero-operand), over an exact useful-product counter that
+//!   scales to ImageNet-sized layers. It counts each pair by the cheaper of
+//!   two paths ([`useful_count_path`]): a walk over the image rows each
+//!   kernel non-zero reaches, or `O(H*W)`-preprocessing prefix planes
+//!   answering `O(1)` per kernel element.
 
 use ant_sparse::{CsrMatrix, DenseMatrix};
 
@@ -350,6 +352,7 @@ impl ImageNzCounter {
 /// Reusable buffer for [`count_useful_products_with`]: the prefix-sum planes
 /// of [`ImageNzCounter`] without the per-call allocation. One scratch per
 /// worker; it grows to the largest image seen and is then reused as-is.
+/// Pairs counted by the row walk never touch it.
 #[derive(Debug, Clone, Default)]
 pub struct NzCounterScratch {
     prefix: Vec<u32>,
@@ -362,8 +365,101 @@ impl NzCounterScratch {
     }
 }
 
+/// How [`count_useful_products_with`] counts one pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UsefulCountPath {
+    /// Each kernel non-zero's partners are counted from the image's CSR
+    /// rows: one binary search per image row it reaches. Costs
+    /// `O(nnz_kernel * out_h * log(row nnz))` and builds nothing, so it
+    /// wins when the kernel's non-zeros reach few image rows in total, as
+    /// in the forward and backward phases (a small, sparse `W`).
+    RowWalk,
+    /// [`ImageNzCounter`]'s prefix-sum planes: `stride^2` planes over the
+    /// whole image, then `O(1)` per kernel non-zero. Wins when many kernel
+    /// non-zeros each reach a few rows, as in the update phase, whose large
+    /// `G_A` kernel reaches most of the image.
+    PrefixPlanes,
+}
+
+/// Picks the counting path for a pair from sizes the caller already has:
+/// the operands' non-zero counts and the shape (image and output dims,
+/// stride). Both paths return the same count; this only picks the cheaper
+/// one, in units of one prefix-plane cell:
+///
+/// * the planes cost `stride^2 * (H+1) * (W+1)` cells plus one scatter per
+///   image non-zero;
+/// * the row walk visits `nnz_kernel * out_h` image rows. Each costs two
+///   cells of overhead plus a binary search over the row, about
+///   `log2(row nnz) + 1` steps for the image's average row, and at
+///   `stride > 1` also the walk over the row's non-zeros in the window.
+///
+/// Measured per pair over the Fig. 9 grid, the rule picks the faster path
+/// for all but a few near-ties: the walk for every forward and backward
+/// pair, the planes for the update pairs of ResNet-50's large layers.
+pub fn useful_count_path(
+    kernel_nnz: usize,
+    image_nnz: usize,
+    shape: &ConvShape,
+) -> UsefulCountPath {
+    let stride = shape.stride();
+    let (h, w) = (shape.image_h(), shape.image_w());
+    let row_nnz = image_nnz / h;
+    let search = (usize::BITS - row_nnz.leading_zeros()) as usize;
+    let window = if stride > 1 { row_nnz } else { 0 };
+    let walk = kernel_nnz
+        .saturating_mul(shape.out_h())
+        .saturating_mul(2 + search + window);
+    let planes = stride * stride * (h + 1) * (w + 1) + image_nnz;
+    if walk <= planes {
+        UsefulCountPath::RowWalk
+    } else {
+        UsefulCountPath::PrefixPlanes
+    }
+}
+
+/// The row walk ([`UsefulCountPath::RowWalk`]): for each kernel non-zero
+/// `(s, r)`, its valid partners are the image non-zeros at rows
+/// `d*r + stride*oy` and columns `d*s + stride*ox` (`oy < out_h`,
+/// `ox < out_w`). Per reached row, a binary search bounds the columns; at
+/// stride 1 the count is the width of that window, otherwise the window's
+/// entries are filtered by stride phase. Allocates nothing.
+fn count_useful_by_rows(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape) -> u64 {
+    let d = shape.dilation();
+    let stride = shape.stride();
+    let (h, w) = (shape.image_h(), shape.image_w());
+    let row_ptr = image.row_ptr();
+    let col_idx = image.col_idx();
+    let mut useful = 0u64;
+    for (r, s, _) in kernel.iter() {
+        let (y0, x0) = (d * r, d * s);
+        if y0 >= h || x0 >= w {
+            continue;
+        }
+        let y1 = (y0 + stride * (shape.out_h() - 1)).min(h - 1);
+        let x1 = (x0 + stride * (shape.out_w() - 1)).min(w - 1);
+        for y in (y0..=y1).step_by(stride) {
+            let cols = &col_idx[row_ptr[y]..row_ptr[y + 1]];
+            let lo = cols.partition_point(|&x| x < x0);
+            let window = &cols[lo..];
+            let window = &window[..window.partition_point(|&x| x <= x1)];
+            useful += if stride == 1 {
+                window.len() as u64
+            } else {
+                window
+                    .iter()
+                    .filter(|&&x| (x - x0).is_multiple_of(stride))
+                    .count() as u64
+            };
+        }
+    }
+    useful
+}
+
 /// Counts the useful (valid, both-non-zero) products between a sparse kernel
-/// and sparse image, exactly, in `O(H*W*stride^2 + nnz_kernel)`.
+/// and sparse image, exactly. Costs the cheaper of
+/// `O(nnz_kernel * out_h * log(row nnz))` (row walk) and
+/// `O(H*W*stride^2 + nnz_kernel)` (prefix planes); see
+/// [`useful_count_path`].
 pub fn count_useful_products(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape) -> u64 {
     count_useful_products_with(kernel, image, shape, &mut NzCounterScratch::new())
 }
@@ -381,11 +477,23 @@ pub fn count_useful_products_with(
     shape: &ConvShape,
     scratch: &mut NzCounterScratch,
 ) -> u64 {
-    let (phase_cols, plane_len) = fill_prefix(image, shape, &mut scratch.prefix);
-    kernel
-        .iter()
-        .map(|(r, s, _)| count_valid_in(shape, &scratch.prefix, phase_cols, plane_len, s, r))
-        .sum()
+    assert_eq!(
+        image.shape(),
+        (shape.image_h(), shape.image_w()),
+        "image shape mismatch"
+    );
+    match useful_count_path(kernel.nnz(), image.nnz(), shape) {
+        UsefulCountPath::RowWalk => count_useful_by_rows(kernel, image, shape),
+        UsefulCountPath::PrefixPlanes => {
+            let (phase_cols, plane_len) = fill_prefix(image, shape, &mut scratch.prefix);
+            kernel
+                .iter()
+                .map(|(r, s, _)| {
+                    count_valid_in(shape, &scratch.prefix, phase_cols, plane_len, s, r)
+                })
+                .sum()
+        }
+    }
 }
 
 /// Computes the full partial-product breakdown for a kernel/image pair.
@@ -716,6 +824,163 @@ mod tests {
                 count_useful_products_with(&kernel, &image, &shape, &mut scratch),
                 count_useful_products(&kernel, &image, &shape),
                 "shape {shape}"
+            );
+        }
+    }
+
+    /// A random pair for the counter's property test: a shape drawn from
+    /// one of three families, operands at a random sparsity (fully empty
+    /// kernels included), and some image rows zeroed.
+    fn random_counter_case(rng: &mut StdRng) -> (ConvShape, DenseMatrix, DenseMatrix) {
+        use rand::Rng;
+        let stride = rng.gen_range(1..=3usize);
+        let dilation = rng.gen_range(1..=2usize);
+        let shape = match rng.gen_range(0..3u32) {
+            // A small kernel over a larger image (forward/backward-like).
+            0 => {
+                let (kh, kw) = (rng.gen_range(1..=4usize), rng.gen_range(1..=4usize));
+                let h = dilation * (kh - 1) + 1 + rng.gen_range(0..12usize);
+                let w = dilation * (kw - 1) + 1 + rng.gen_range(0..12usize);
+                ConvShape::with_dilation(kh, kw, h, w, stride, dilation).unwrap()
+            }
+            // A kernel larger than its reach: the output is at most 3x3,
+            // as in the update phase.
+            1 => {
+                let (oh, ow) = (rng.gen_range(1..=3usize), rng.gen_range(1..=3usize));
+                let (kh, kw) = (rng.gen_range(3..=9usize), rng.gen_range(3..=9usize));
+                let h = dilation * (kh - 1) + 1 + stride * (oh - 1);
+                let w = dilation * (kw - 1) + 1 + stride * (ow - 1);
+                ConvShape::with_dilation(kh, kw, h, w, stride, dilation).unwrap()
+            }
+            // An explicit, trimmed output: a scaled-down update row of a
+            // stride-2 layer (G_A over A, dilation 2, the forward kernel's
+            // extent as output, one trailing image row left unused).
+            _ => {
+                let (kh, kw) = (rng.gen_range(2..=8usize), rng.gen_range(2..=8usize));
+                let (oh, ow) = (rng.gen_range(1..=3usize), rng.gen_range(1..=3usize));
+                let h = 2 * (kh - 1) + oh + 1;
+                let w = 2 * (kw - 1) + ow + 1;
+                ConvShape::with_output(kh, kw, h, w, 1, 2, oh, ow).unwrap()
+            }
+        };
+        let kernel_sparsity = [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4usize)];
+        let image_sparsity = [0.0, 0.3, 0.7, 0.95][rng.gen_range(0..4usize)];
+        let kernel = sparsify::random_with_sparsity(
+            shape.kernel_h(),
+            shape.kernel_w(),
+            kernel_sparsity,
+            rng,
+        );
+        let mut image =
+            sparsify::random_with_sparsity(shape.image_h(), shape.image_w(), image_sparsity, rng);
+        for y in 0..shape.image_h() {
+            if rng.gen_bool(0.2) {
+                for x in 0..shape.image_w() {
+                    image.set(y, x, 0.0);
+                }
+            }
+        }
+        (shape, kernel, image)
+    }
+
+    #[test]
+    fn useful_count_matches_brute_force_on_both_paths() {
+        // Independent of the path rule: every count is checked against the
+        // brute-force oracle, and the cases must land on both sides of it.
+        let mut rng = StdRng::seed_from_u64(2583);
+        let mut scratch = NzCounterScratch::new();
+        let mut taken = [0u32; 2];
+        for case in 0..3000 {
+            let (shape, kernel, image) = random_counter_case(&mut rng);
+            let expected = breakdown_brute(&kernel, &image, &shape).useful;
+            let (kernel, image) = (
+                CsrMatrix::from_dense(&kernel),
+                CsrMatrix::from_dense(&image),
+            );
+            let path = useful_count_path(kernel.nnz(), image.nnz(), &shape);
+            taken[usize::from(path == UsefulCountPath::PrefixPlanes)] += 1;
+            assert_eq!(
+                count_useful_products_with(&kernel, &image, &shape, &mut scratch),
+                expected,
+                "case {case}: {shape} via {path:?}"
+            );
+            assert_eq!(count_useful_products(&kernel, &image, &shape), expected);
+        }
+        assert!(
+            taken.iter().all(|&n| n >= 200),
+            "both paths must be exercised: {taken:?}"
+        );
+    }
+
+    #[test]
+    fn each_fig09_phase_geometry_takes_its_path() {
+        // Shapes and non-zero counts as the Fig. 9 grid synthesizes them at
+        // 90% sparsity: the row walk for every forward and backward pair
+        // (a sparse 1x1 weight plane has no non-zero at all), the prefix
+        // planes for the update pairs of ResNet-50's large layers.
+        let cases = [
+            // CIFAR 3x3 layer, 32x32 padded to 34x34.
+            ("cifar 3x3 W*A", ConvShape::new(3, 3, 34, 34, 1), 1, 102),
+            ("cifar 3x3 W*G_A", ConvShape::new(3, 3, 34, 34, 1), 1, 102),
+            (
+                "cifar 3x3 G_A*A",
+                ConvShape::with_output(32, 32, 34, 34, 1, 1, 3, 3),
+                102,
+                102,
+            ),
+            // CIFAR 1x1 layer.
+            ("cifar 1x1 W*A", ConvShape::new(1, 1, 32, 32, 1), 0, 102),
+            (
+                "cifar 1x1 G_A*A",
+                ConvShape::with_output(32, 32, 32, 32, 1, 1, 1, 1),
+                102,
+                102,
+            ),
+            // ResNet-50's 7x7 stride-2 stem: 224x224 padded to 230x230; the
+            // backward image is G_A dilated by 2 and padded by 6.
+            (
+                "resnet50 stem W*A",
+                ConvShape::new(7, 7, 230, 230, 2),
+                5,
+                5018,
+            ),
+            (
+                "resnet50 stem W*G_A",
+                ConvShape::new(7, 7, 235, 235, 1),
+                5,
+                1254,
+            ),
+            (
+                "resnet50 stem G_A*A",
+                ConvShape::with_output(112, 112, 230, 230, 1, 2, 7, 7),
+                1254,
+                5018,
+            ),
+            // ResNet-50 3x3 layer at 56x56, padded to 58x58.
+            (
+                "resnet50 56x56 W*A",
+                ConvShape::new(3, 3, 58, 58, 1),
+                1,
+                313,
+            ),
+            (
+                "resnet50 56x56 G_A*A",
+                ConvShape::with_output(56, 56, 58, 58, 1, 1, 3, 3),
+                313,
+                313,
+            ),
+        ];
+        for (name, shape, kernel_nnz, image_nnz) in cases {
+            let shape = shape.unwrap();
+            let expected = if name.starts_with("resnet50") && name.ends_with("G_A*A") {
+                UsefulCountPath::PrefixPlanes
+            } else {
+                UsefulCountPath::RowWalk
+            };
+            assert_eq!(
+                useful_count_path(kernel_nnz, image_nnz, &shape),
+                expected,
+                "{name}"
             );
         }
     }
