@@ -324,33 +324,11 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
             }),
         ));
 
-        // Useful-product counting on the ResNet-50 stem (224x224 padded to
-        // 230x230): the forward pair, a 7x7 kernel at stride 2, and the
-        // update pair, the 112x112 G_A dilated by 2 with the 7x7 forward
-        // kernel's extent as output.
-        let stem = [
-            ("useful_count_fwd", ConvShape::new(7, 7, 230, 230, 2), 16),
-            (
-                "useful_count_upd",
-                ConvShape::with_output(112, 112, 230, 230, 1, 2, 7, 7),
-                8,
-            ),
-        ];
-        for (kernel_name, shape, iters) in stem {
-            let shape = shape.unwrap_or_else(|_| unreachable!("the stem's shapes are valid"));
-            let mut rng = StdRng::seed_from_u64(seed_for(kernel_name, sparsity));
-            let kernel = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
-                shape.kernel_h(),
-                shape.kernel_w(),
-                sparsity,
-                &mut rng,
-            ));
-            let image = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
-                shape.image_h(),
-                shape.image_w(),
-                sparsity,
-                &mut rng,
-            ));
+        for (kernel_name, shape, iters) in [
+            ("useful_count_fwd", stem_forward(), 16),
+            ("useful_count_upd", stem_update(), 8),
+        ] {
+            let (kernel, image) = stem_operands(kernel_name, &shape, sparsity);
             let mut scratch = NzCounterScratch::new();
             benches.push(KernelBench::new(
                 kernel_name,
@@ -361,6 +339,37 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
         }
     }
     benches
+}
+
+/// The ResNet-50 stem's forward pair shape: a 7x7 kernel at stride 2 over
+/// the 224x224 input padded to 230x230.
+fn stem_forward() -> ConvShape {
+    ConvShape::new(7, 7, 230, 230, 2).unwrap_or_else(|_| unreachable!("valid stem shape"))
+}
+
+/// The ResNet-50 stem's update pair shape: the 112x112 `G_A` dilated by
+/// the forward stride, with the forward kernel's 7x7 extent as output.
+fn stem_update() -> ConvShape {
+    ConvShape::with_output(112, 112, 230, 230, 1, 2, 7, 7)
+        .unwrap_or_else(|_| unreachable!("valid stem shape"))
+}
+
+/// Seeded kernel and image operands for a `useful_count_*` bench.
+fn stem_operands(kernel_name: &str, shape: &ConvShape, sparsity: f64) -> (CsrMatrix, CsrMatrix) {
+    let mut rng = StdRng::seed_from_u64(seed_for(kernel_name, sparsity));
+    let kernel = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
+        shape.kernel_h(),
+        shape.kernel_w(),
+        sparsity,
+        &mut rng,
+    ));
+    let image = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
+        shape.image_h(),
+        shape.image_w(),
+        sparsity,
+        &mut rng,
+    ));
+    (kernel, image)
 }
 
 /// Measures every bench (with an optional name filter applied first).
@@ -412,6 +421,7 @@ pub fn record(grid: Grid, repeats: u32) -> (Vec<KernelResult>, HistoryEntry) {
 mod tests {
     use super::*;
     use crate::history::{self, compare, MetricClass, DEFAULT_THRESHOLD};
+    use ant_conv::rcp::{useful_count_path, UsefulCountPath};
 
     #[test]
     fn standard_benches_cover_every_kernel_at_every_point() {
@@ -439,6 +449,23 @@ mod tests {
                     "{kernel} must appear once per grid point"
                 );
             }
+        }
+        // At the tracked 90% point the two counter benches time the two
+        // sides of the counter's path rule.
+        for (kernel_name, shape, path) in [
+            ("useful_count_fwd", stem_forward(), UsefulCountPath::RowWalk),
+            (
+                "useful_count_upd",
+                stem_update(),
+                UsefulCountPath::PrefixPlanes,
+            ),
+        ] {
+            let (kernel, image) = stem_operands(kernel_name, &shape, 0.9);
+            assert_eq!(
+                useful_count_path(kernel.nnz(), image.nnz(), &shape),
+                path,
+                "{kernel_name}"
+            );
         }
     }
 

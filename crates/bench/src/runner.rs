@@ -1057,6 +1057,8 @@ struct OperandSlot {
     layers: Vec<Option<Arc<LayerWork>>>,
 }
 
+/// Every update replaces the whole value, so a lock poisoned by a panicking
+/// caller still guards a consistent slot and is recovered, not propagated.
 static OPERANDS: Mutex<Option<OperandSlot>> = Mutex::new(None);
 
 /// How many layers of `net` at `cfg` the operand slot holds: 0 unless the

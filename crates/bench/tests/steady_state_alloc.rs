@@ -12,6 +12,7 @@
 //! would make the zero-delta assertion meaningless.
 
 use ant_conv::matmul::MatmulShape;
+use ant_conv::rcp::{useful_count_path, UsefulCountPath};
 use ant_conv::ConvShape;
 use ant_sim::accum::AccumulatorBanks;
 use ant_sim::ant::AntAccelerator;
@@ -53,9 +54,34 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
         Box::new(DstAccelerator::paper_default()),
         Box::new(IntersectionAccelerator::training_default()),
     ];
-    let shape = ConvShape::new(3, 3, 16, 16, 1).unwrap();
-    let (k1, i1) = conv_pair(&shape, 0.9, 1);
-    let (k2, i2) = conv_pair(&shape, 0.9, 2);
+    // A forward-like pair and an update-like pair (a large, denser kernel
+    // with a 3x3 output): the useful-product counter takes its row walk on
+    // the first and its prefix planes on the second, so both stay
+    // allocation-free on a warm worker.
+    let conv_pairs: Vec<_> = [
+        (ConvShape::new(3, 3, 16, 16, 1).unwrap(), 0.9),
+        (
+            ConvShape::with_output(14, 14, 16, 16, 1, 1, 3, 3).unwrap(),
+            0.5,
+        ),
+    ]
+    .into_iter()
+    .map(|(shape, sparsity)| {
+        (
+            shape,
+            conv_pair(&shape, sparsity, 1),
+            conv_pair(&shape, sparsity, 2),
+        )
+    })
+    .collect();
+    let paths: Vec<UsefulCountPath> = conv_pairs
+        .iter()
+        .map(|(shape, (k, i), _)| useful_count_path(k.nnz(), i.nnz(), shape))
+        .collect();
+    assert_eq!(
+        paths,
+        [UsefulCountPath::RowWalk, UsefulCountPath::PrefixPlanes]
+    );
 
     let mshape = MatmulShape::new(12, 16, 16, 8).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
@@ -84,23 +110,25 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
     // One worker-owned arena shared by every machine, exactly like a
     // scheduler worker slot.
     let mut scratch = SimScratch::new();
-    for machine in &conv_machines {
-        // Warm-up pair grows the buffers to this shape.
-        let warm = machine.simulate_conv_pair_scratch(&k1, &i1, &shape, &mut scratch);
-        // Steady state: a second, different pair of the same shape.
-        let before = ant_obs::alloc::snapshot();
-        let steady = machine.simulate_conv_pair_scratch(&k2, &i2, &shape, &mut scratch);
-        let delta = ant_obs::alloc::snapshot().delta_from(&before);
-        assert_eq!(
-            delta.allocs,
-            0,
-            "{} allocated {} times ({} bytes) on a warm worker",
-            machine.name(),
-            delta.allocs,
-            delta.allocated_bytes
-        );
-        // Sanity: both runs did real work.
-        assert!(warm.pairs_total > 0 && steady.pairs_total > 0);
+    for (shape, (k1, i1), (k2, i2)) in &conv_pairs {
+        for machine in &conv_machines {
+            // Warm-up pair grows the buffers to this shape.
+            let warm = machine.simulate_conv_pair_scratch(k1, i1, shape, &mut scratch);
+            // Steady state: a second, different pair of the same shape.
+            let before = ant_obs::alloc::snapshot();
+            let steady = machine.simulate_conv_pair_scratch(k2, i2, shape, &mut scratch);
+            let delta = ant_obs::alloc::snapshot().delta_from(&before);
+            assert_eq!(
+                delta.allocs,
+                0,
+                "{} allocated {} times ({} bytes) on a warm worker, shape {shape}",
+                machine.name(),
+                delta.allocs,
+                delta.allocated_bytes
+            );
+            // Sanity: both runs did real work.
+            assert!(warm.pairs_total > 0 && steady.pairs_total > 0);
+        }
     }
 
     for (label, machine) in &matmul_machines {

@@ -11,10 +11,10 @@
 //! `nnz(kernel) * nnz(image)` by construction and the useful subset comes
 //! from the exact [`ant_conv::rcp::count_useful_products`] counter, so
 //! ImageNet-scale layers simulate in microseconds. The counter never forms
-//! the cartesian product either: a forward or backward pair's few kernel
-//! non-zeros are matched against the image rows they reach, and only an
-//! update pair's large `G_A` kernel pays for prefix planes over the image
-//! ([`ant_conv::rcp::useful_count_path`]).
+//! the cartesian product either: a pair's kernel non-zeros are matched
+//! against the image rows they reach, and only an update pair whose large
+//! `G_A` kernel makes that walk dearer than prefix planes over the image
+//! builds the planes ([`ant_conv::rcp::useful_count_path`]).
 
 use ant_conv::matmul::MatmulShape;
 use ant_conv::rcp::count_useful_products_with;

@@ -219,10 +219,10 @@ fn golden_mini_experiment() {
     );
 }
 
-/// The paper's headline numbers, pinned: the first rows of the conformance
-/// table (ROADMAP item 4). The Fig. 9 grid runs at the paper configuration
-/// through the parallel runner, SCNN+ then ANT per network, exactly as the
-/// `fig09_speedup_energy` and `tab05_rcps_avoided` binaries call it.
+/// The paper's headline numbers, pinned. The Fig. 9 grid runs at the
+/// paper configuration through the parallel runner, SCNN+ then ANT per
+/// network, exactly as the `fig09_speedup_energy` and `tab05_rcps_avoided`
+/// binaries call it.
 ///
 /// Each row is (quantity, paper, reproduced, tolerance): the geomeans
 /// within 2.5% of the paper, the Table 5 average within 1.5 points. The
