@@ -32,6 +32,7 @@ use ant_bench::history::{
     self, CompareReport, HistoryEntry, WorkloadSet, DEFAULT_LEDGER, DEFAULT_THRESHOLD,
 };
 use ant_bench::obs::Experiment;
+use ant_bench::obsctl::{take_flag, take_parsed, take_switch};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,28 +49,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Pulls `--name value` out of `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    if let Some(pos) = args.iter().position(|a| a == name) {
-        if pos + 1 >= args.len() {
-            return Err(format!("{name} needs a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        return Ok(Some(value));
-    }
-    Ok(None)
-}
-
-/// Pulls a bare `--name` switch out of `args`.
-fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == name) {
-        args.remove(pos);
-        return true;
-    }
-    false
 }
 
 fn ledger_path(args: &mut Vec<String>) -> Result<PathBuf, String> {
@@ -93,11 +72,8 @@ fn cmd_record(args: &[String]) -> ExitCode {
         Ok(v) => v.unwrap_or_else(|| "fig09".to_string()),
         Err(e) => return fail(&e),
     };
-    let repeats = match take_flag(&mut args, "--repeats") {
-        Ok(v) => match v.as_deref().map(str::parse::<u32>).transpose() {
-            Ok(n) => n.unwrap_or(3),
-            Err(_) => return fail("--repeats wants an integer"),
-        },
+    let repeats = match take_parsed(&mut args, "--repeats", 3u32) {
+        Ok(n) => n,
         Err(e) => return fail(&e),
     };
     if !args.is_empty() {
@@ -172,18 +148,12 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let threshold = match take_flag(&mut args, "--threshold") {
-        Ok(v) => match v.as_deref().map(str::parse::<f64>).transpose() {
-            Ok(t) => t.unwrap_or(DEFAULT_THRESHOLD),
-            Err(_) => return fail("--threshold wants a number"),
-        },
+    let threshold = match take_parsed(&mut args, "--threshold", DEFAULT_THRESHOLD) {
+        Ok(t) => t,
         Err(e) => return fail(&e),
     };
-    let window = match take_flag(&mut args, "--window") {
-        Ok(v) => match v.as_deref().map(str::parse::<usize>).transpose() {
-            Ok(n) => n.unwrap_or(5).max(1),
-            Err(_) => return fail("--window wants an integer"),
-        },
+    let window = match take_parsed(&mut args, "--window", 5usize) {
+        Ok(n) => n.max(1),
         Err(e) => return fail(&e),
     };
     let self_compare = take_switch(&mut args, "--self");

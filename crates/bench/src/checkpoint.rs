@@ -9,25 +9,25 @@
 //! a layer cannot perturb its neighbours).
 //!
 //! One sidecar holds many runs: each line carries its `(network, machine)`
-//! coordinates plus a fingerprint of the experiment config. Lines whose
-//! fingerprint does not match the current config are stale and ignored, as
-//! are corrupt lines — a damaged checkpoint degrades to a partial resume,
+//! coordinates, a fingerprint of the experiment config and the
+//! [`MODEL_VERSION`] it was simulated under. Lines whose fingerprint or
+//! version does not match the current run are stale and ignored, as are
+//! corrupt lines — a damaged checkpoint degrades to a partial resume,
 //! never a wrong result. Layers that completed with quarantined pair
-//! failures are *not* persisted, so a resumed run retries them.
+//! failures are *not* persisted, so a resumed run retries them. The line
+//! payload and the append path are shared with the simulation cache
+//! (`layer_log.rs`).
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ant_obs::json::{write_json_string, Json};
-use ant_sim::chaos::{self, IoDomain, IoFault};
+use ant_sim::cache::MODEL_VERSION;
+use ant_sim::chaos::IoDomain;
 use ant_sim::{AntError, SimStats};
 
-// The fingerprint type moved to the shared `fingerprint` module (the
-// simulation cache keys with the same scheme); the checkpoint wire format
-// is unchanged — see `fingerprint_wire_format_is_pinned` below.
-pub use crate::fingerprint::Fingerprint;
+use crate::fingerprint::Fingerprint;
+use crate::layer_log::{self, AppendLog};
 use crate::runner::{ExperimentConfig, LayerCheckpoint};
 
 /// Schema tag on every checkpoint line; bump on incompatible change.
@@ -39,32 +39,18 @@ type Key = (String, String, usize, String); // (network, machine, index, layer)
 /// append handle for this run's completed layers.
 #[derive(Debug)]
 pub struct CheckpointFile {
-    path: PathBuf,
     fingerprint: Fingerprint,
     entries: HashMap<Key, [SimStats; 3]>,
-    /// `None` once appending has been disabled by an IO failure — the
-    /// sweep keeps simulating, it just stops checkpointing.
-    writer: Option<BufWriter<File>>,
+    /// Stops appending after a failed write: the sweep keeps simulating,
+    /// it just stops checkpointing.
+    log: AppendLog,
     ignored: usize,
-    /// Lines appended so far — the deterministic index for injected IO
-    /// faults (`ANT_CHAOS` `torn=`/`enospc=`).
-    appended: u64,
 }
 
 impl CheckpointFile {
     /// Starts a fresh checkpoint at `path` (truncating any existing file).
     pub fn create(path: impl AsRef<Path>, cfg: &ExperimentConfig) -> Result<Self, AntError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)
-            .map_err(|e| AntError::io(format!("create checkpoint {}", path.display()), &e))?;
-        Ok(Self {
-            path,
-            fingerprint: Fingerprint::of(cfg),
-            entries: HashMap::new(),
-            writer: Some(BufWriter::new(file)),
-            ignored: 0,
-            appended: 0,
-        })
+        Self::open(path.as_ref(), cfg, true)
     }
 
     /// Resumes from `path`: loads every usable line (corrupt or stale lines
@@ -72,31 +58,21 @@ impl CheckpointFile {
     /// file for appending. A missing file resumes nothing — identical to
     /// [`CheckpointFile::create`].
     pub fn resume(path: impl AsRef<Path>, cfg: &ExperimentConfig) -> Result<Self, AntError> {
-        let path = path.as_ref().to_path_buf();
+        Self::open(path.as_ref(), cfg, false)
+    }
+
+    fn open(path: &Path, cfg: &ExperimentConfig, truncate: bool) -> Result<Self, AntError> {
         let fingerprint = Fingerprint::of(cfg);
         let mut entries = HashMap::new();
         let mut ignored = 0usize;
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_line(line, &fingerprint) {
-                        Ok(Some((key, phases))) => {
-                            entries.insert(key, phases);
-                        }
-                        Ok(None) | Err(_) => ignored += 1,
-                    }
+        if !truncate {
+            layer_log::load(path, |line| match parse_line(line, &fingerprint) {
+                Ok(Some((key, phases))) => {
+                    entries.insert(key, phases);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(AntError::io(
-                    format!("read checkpoint {}", path.display()),
-                    &e,
-                ))
-            }
+                Ok(None) | Err(_) => ignored += 1,
+            })
+            .map_err(|e| AntError::io(format!("read checkpoint {}", path.display()), &e))?;
         }
         if ignored > 0 {
             eprintln!(
@@ -104,23 +80,18 @@ impl CheckpointFile {
                 path.display()
             );
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| AntError::io(format!("append checkpoint {}", path.display()), &e))?;
+        let log = AppendLog::open(path, IoDomain::Checkpoint, truncate)
+            .map_err(|e| AntError::io(format!("open checkpoint {}", path.display()), &e))?;
         Ok(Self {
-            path,
             fingerprint,
             entries,
-            writer: Some(BufWriter::new(file)),
+            log,
             ignored,
-            appended: 0,
         })
     }
 
-    /// Lines skipped while loading (corrupt, wrong schema, or stale
-    /// fingerprint).
+    /// Lines skipped while loading (corrupt, wrong schema, stale
+    /// fingerprint, or another [`MODEL_VERSION`]).
     pub fn ignored_lines(&self) -> usize {
         self.ignored
     }
@@ -139,56 +110,6 @@ impl CheckpointFile {
             machine: machine.to_string(),
         }
     }
-
-    fn append_line(&mut self, line: &str) {
-        let Some(writer) = self.writer.as_mut() else {
-            return;
-        };
-        let index = self.appended;
-        self.appended += 1;
-        match chaos::active().and_then(|c| c.io_fault_for(IoDomain::Checkpoint, index)) {
-            Some(IoFault::TornWrite) => {
-                // A torn write leaves a truncated line on disk. It cannot
-                // parse back as a resumable entry, so a resume skips it and
-                // re-simulates the layer — degraded, never wrong.
-                let torn = &line.as_bytes()[..line.len() / 2];
-                let _ = writer
-                    .write_all(torn)
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush());
-                ant_obs::registry().counter("checkpoint.io_torn").incr();
-                eprintln!(
-                    "ant-bench: checkpoint {}: injected torn write at line {index}; \
-                     entry will re-simulate on resume",
-                    self.path.display()
-                );
-                return;
-            }
-            Some(IoFault::Enospc) => {
-                ant_obs::registry().counter("checkpoint.io_enospc").incr();
-                eprintln!(
-                    "ant-bench: checkpoint {}: injected ENOSPC at line {index}; \
-                     checkpointing disabled, sweep continues",
-                    self.path.display()
-                );
-                self.writer = None;
-                return;
-            }
-            None => {}
-        }
-        let ok = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if let Err(e) = ok {
-            eprintln!(
-                "ant-bench: checkpoint {}: write failed ({e}); checkpointing disabled, \
-                 sweep continues",
-                self.path.display()
-            );
-            self.writer = None;
-        }
-    }
 }
 
 /// A [`CheckpointFile`] scoped to one `(network, machine)` run.
@@ -199,31 +120,39 @@ pub struct RunCheckpoint<'a> {
     machine: String,
 }
 
-impl LayerCheckpoint for RunCheckpoint<'_> {
-    fn lookup(&self, layer_index: usize, layer_name: &str) -> Option<[SimStats; 3]> {
-        let key = (
+impl RunCheckpoint<'_> {
+    fn key(&self, layer_index: usize, layer_name: &str) -> Key {
+        (
             self.network.clone(),
             self.machine.clone(),
             layer_index,
             layer_name.to_string(),
-        );
-        self.file.entries.get(&key).copied()
+        )
+    }
+}
+
+impl LayerCheckpoint for RunCheckpoint<'_> {
+    fn lookup(&self, layer_index: usize, layer_name: &str) -> Option<[SimStats; 3]> {
+        self.file
+            .entries
+            .get(&self.key(layer_index, layer_name))
+            .copied()
     }
 
-    fn record(&mut self, layer_index: usize, layer_name: &str, phases: &[SimStats; 3], clean: bool) {
+    fn record(
+        &mut self,
+        layer_index: usize,
+        layer_name: &str,
+        phases: &[SimStats; 3],
+        clean: bool,
+    ) {
         if !clean {
             // A layer with quarantined pair failures is partial; leaving it
             // out of the sidecar makes the resumed run retry it.
             return;
         }
-        let line = emit_line(
-            &self.file.fingerprint,
-            &self.network,
-            &self.machine,
-            layer_index,
-            layer_name,
-            phases,
-        );
+        let key = self.key(layer_index, layer_name);
+        let line = emit_line(&self.file.fingerprint, &key, phases);
         // Round-trip verify before persisting: `Json` numbers are `f64`,
         // so a counter above 2^53 would come back rounded. Better to drop
         // the entry (resume re-simulates the layer) than resume wrong.
@@ -237,68 +166,38 @@ impl LayerCheckpoint for RunCheckpoint<'_> {
                 return;
             }
         }
-        self.file.append_line(&line);
-        let key = (
-            self.network.clone(),
-            self.machine.clone(),
-            layer_index,
-            layer_name.to_string(),
-        );
+        self.file.log.append(&line);
         self.file.entries.insert(key, *phases);
     }
 }
 
-fn emit_line(
-    fp: &Fingerprint,
-    network: &str,
-    machine: &str,
-    layer_index: usize,
-    layer_name: &str,
-    phases: &[SimStats; 3],
-) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"schema\":");
-    write_json_string(SCHEMA, &mut out);
-    out.push_str(&format!(
-        ",\"seed\":{},\"max_channels\":{},\"num_pes\":{}",
+fn emit_line(fp: &Fingerprint, key: &Key, phases: &[SimStats; 3]) -> String {
+    let (network, machine, layer_index, layer_name) = key;
+    let [weight, activation, gradient] = fp.sparsity;
+    let mut out = format!(
+        "{{\"schema\":\"{SCHEMA}\",\"seed\":{},\"max_channels\":{},\"num_pes\":{},\
+         \"sparsity\":[{weight},{activation},{gradient}],\"network\":",
         fp.seed, fp.max_channels, fp.num_pes
-    ));
-    out.push_str(&format!(
-        ",\"sparsity\":[{},{},{}]",
-        fp.sparsity[0], fp.sparsity[1], fp.sparsity[2]
-    ));
-    out.push_str(",\"network\":");
+    );
     write_json_string(network, &mut out);
     out.push_str(",\"machine\":");
     write_json_string(machine, &mut out);
     out.push_str(&format!(",\"layer_index\":{layer_index},\"layer\":"));
     write_json_string(layer_name, &mut out);
-    out.push_str(",\"phases\":[");
-    for (pi, stats) in phases.iter().enumerate() {
-        if pi > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        for (fi, (name, value)) in stats.fields().iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
-            }
-            write_json_string(name, &mut out);
-            out.push_str(&format!(":{value}"));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
+    out.push_str(",\"phases\":");
+    layer_log::write_phases(phases, &mut out);
+    out.push_str(&format!(",\"version\":{MODEL_VERSION}}}"));
     out
 }
 
 /// Parses one checkpoint line. `Ok(None)` means the line is well-formed
-/// but belongs to another experiment config (stale fingerprint); `Err`
-/// means the line is corrupt.
+/// but belongs to another experiment config or [`MODEL_VERSION`] (stale);
+/// `Err` means the line is corrupt. A line without a version stamp was
+/// written before lines carried one, under version 1.
 fn parse_line(line: &str, expect: &Fingerprint) -> Result<Option<(Key, [SimStats; 3])>, AntError> {
     let bad = |reason: &str| AntError::corrupt("checkpoint", reason.to_string());
-    let json = ant_obs::parse_json(line)
-        .map_err(|e| AntError::corrupt("checkpoint", e.to_string()))?;
+    let json =
+        ant_obs::parse_json(line).map_err(|e| AntError::corrupt("checkpoint", e.to_string()))?;
     if json.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(bad("missing or unknown schema tag"));
     }
@@ -313,24 +212,23 @@ fn parse_line(line: &str, expect: &Fingerprint) -> Result<Option<(Key, [SimStats
             .map(str::to_string)
             .ok_or_else(|| bad(&format!("missing string field {key:?}")))
     };
-    let sparsity_json = json
+    let sparsity = json
         .get("sparsity")
         .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing sparsity array"))?;
-    if sparsity_json.len() != 3 {
-        return Err(bad("sparsity array must have three entries"));
-    }
-    let mut sparsity = [0.0f64; 3];
-    for (slot, v) in sparsity.iter_mut().zip(sparsity_json) {
-        *slot = v.as_f64().ok_or_else(|| bad("non-numeric sparsity entry"))?;
-    }
+        .and_then(|items| items.iter().map(Json::as_f64).collect::<Option<Vec<_>>>())
+        .and_then(|values| <[f64; 3]>::try_from(values).ok())
+        .ok_or_else(|| bad("sparsity is not three numbers"))?;
     let fingerprint = Fingerprint {
         seed: u64_field("seed")?,
         max_channels: u64_field("max_channels")?,
         num_pes: u64_field("num_pes")?,
         sparsity,
     };
-    if fingerprint != *expect {
+    let version = match json.get("version") {
+        None => 1,
+        Some(_) => u64_field("version")?,
+    };
+    if fingerprint != *expect || version != u64::from(MODEL_VERSION) {
         return Ok(None);
     }
     let key: Key = (
@@ -339,35 +237,14 @@ fn parse_line(line: &str, expect: &Fingerprint) -> Result<Option<(Key, [SimStats
         u64_field("layer_index")? as usize,
         str_field("layer")?,
     );
-    let phases_json = json
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing phases array"))?;
-    if phases_json.len() != 3 {
-        return Err(bad("phases array must have three entries"));
-    }
-    let mut phases = [SimStats::default(); 3];
-    for (stats, obj) in phases.iter_mut().zip(phases_json) {
-        let Json::Obj(map) = obj else {
-            return Err(bad("phase entry is not an object"));
-        };
-        if map.len() != stats.fields().len() {
-            return Err(bad("phase entry has the wrong counter count"));
-        }
-        for (name, value) in map {
-            let value = value
-                .as_u64()
-                .ok_or_else(|| bad(&format!("counter {name:?} is not an integer")))?;
-            if !stats.set_field(name, value) {
-                return Err(bad(&format!("unknown counter {name:?}")));
-            }
-        }
-    }
+    let phases = layer_log::read_phases(json.get("phases")).map_err(bad)?;
     Ok(Some((key, phases)))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -387,6 +264,15 @@ mod tests {
             }
         }
         phases
+    }
+
+    fn key(index: usize, layer: &str) -> Key {
+        (
+            "netA".to_string(),
+            "ANT".to_string(),
+            index,
+            layer.to_string(),
+        )
     }
 
     #[test]
@@ -417,27 +303,30 @@ mod tests {
         let path = temp_path("stale");
         {
             let mut file = CheckpointFile::create(&path, &cfg).unwrap();
-            file.scope("netA", "ANT").record(0, "conv1", &sample_stats(3), true);
+            file.scope("netA", "ANT")
+                .record(0, "conv1", &sample_stats(3), true);
         }
         // Append garbage plus a line from a different seed.
         let mut other = cfg;
         other.seed ^= 1;
-        let stale = emit_line(
-            &Fingerprint::of(&other),
-            "netA",
-            "ANT",
-            1,
-            "conv2",
-            &sample_stats(5),
-        );
+        let stale = emit_line(&Fingerprint::of(&other), &key(1, "conv2"), &sample_stats(5));
+        // And a line of this config simulated under another model version.
+        let other_version = emit_line(&Fingerprint::of(&cfg), &key(2, "conv3"), &sample_stats(6))
+            .replacen(
+                &format!("\"version\":{MODEL_VERSION}}}"),
+                &format!("\"version\":{}}}", MODEL_VERSION + 1),
+                1,
+            );
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("not json at all\n");
         text.push_str(&stale);
         text.push('\n');
+        text.push_str(&other_version);
+        text.push('\n');
         std::fs::write(&path, text).unwrap();
 
         let resumed = CheckpointFile::resume(&path, &cfg).unwrap();
-        assert_eq!(resumed.ignored_lines(), 2);
+        assert_eq!(resumed.ignored_lines(), 3);
         assert_eq!(resumed.resumable_layers(), 1);
         drop(resumed);
         std::fs::remove_file(&path).unwrap();
@@ -461,13 +350,12 @@ mod tests {
 
     #[test]
     fn fingerprint_wire_format_is_pinned() {
-        // Guards the Fingerprint move into the shared `fingerprint` module:
-        // sidecar files written before the refactor must keep resuming, so
-        // both the emitted fingerprint prefix and the acceptance of a
-        // pre-refactor line are pinned to literal bytes here. Breaking this
+        // Sidecar files already on disk must keep resuming, so both the
+        // emitted fingerprint prefix and the acceptance of a line without a
+        // version stamp are pinned to literal bytes here. Breaking this
         // test means every existing checkpoint goes stale.
         let cfg = ExperimentConfig::paper_default();
-        let line = emit_line(&Fingerprint::of(&cfg), "netA", "ANT", 0, "conv1", &sample_stats(7));
+        let line = emit_line(&Fingerprint::of(&cfg), &key(0, "conv1"), &sample_stats(7));
         assert!(
             line.starts_with(
                 "{\"schema\":\"ant-checkpoint/1\",\"seed\":2583,\"max_channels\":4,\
@@ -476,7 +364,7 @@ mod tests {
             "fingerprint prefix changed: {line}"
         );
 
-        // A literal line captured from the pre-refactor emitter (empty
+        // A literal line as written before lines carried a version (empty
         // counters keep it short); it must still parse as resumable.
         let mut stored = String::from(
             "{\"schema\":\"ant-checkpoint/1\",\"seed\":2583,\"max_channels\":4,\
@@ -498,18 +386,33 @@ mod tests {
         }
         stored.push_str("]}");
         let parsed = parse_line(&stored, &Fingerprint::of(&cfg))
-            .expect("pre-refactor line parses")
-            .expect("pre-refactor fingerprint matches");
-        assert_eq!(
-            parsed.0,
-            (
-                "netA".to_string(),
-                "ANT".to_string(),
-                0usize,
-                "conv1".to_string()
-            )
-        );
+            .expect("unstamped line parses")
+            .expect("unstamped line is current");
+        assert_eq!(parsed.0, key(0, "conv1"));
         assert_eq!(parsed.1, [SimStats::default(); 3]);
+    }
+
+    #[test]
+    fn mutated_lines_are_rejected_or_re_emit_exactly() {
+        let cfg = ExperimentConfig::paper_default();
+        let fp = Fingerprint::of(&cfg);
+        let line = emit_line(&fp, &key(3, "conv4"), &sample_stats(7));
+        let mut accepted = 0;
+        for case in 0..2_000 {
+            let mutant = layer_log::tests::mutant(&line, 0xC4EC, case);
+            let Ok(Some((key, phases))) = parse_line(&mutant, &fp) else {
+                continue;
+            };
+            accepted += 1;
+            let again = parse_line(&emit_line(&fp, &key, &phases), &fp);
+            assert_eq!(
+                again.ok().flatten(),
+                Some((key, phases)),
+                "case {case}: {mutant}"
+            );
+        }
+        // Flips inside counter digits and names keep some lines decodable.
+        assert!(accepted > 0, "no mutant was accepted");
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! * [`checkpoint`] — the JSONL checkpoint sidecar behind `--resume`:
 //!   completed layers persist as they finish and are skipped (with
 //!   byte-identical merged results) when a sweep restarts.
+//! * [`simcache`] — the process-global simulation cache and its on-disk
+//!   store. It shares the saved per-layer record with [`checkpoint`]
+//!   through the private `layer_log` module: the per-phase counter writer
+//!   and reader, the missing-file-as-empty load, and the one append path
+//!   with its IO-fault policy.
 //! * [`history`] — the bench-history ledger (`BENCH_history.jsonl`):
 //!   append-only benchmark runs keyed by git revision, with trend-aware
 //!   regression comparison (`bench_history` binary).
@@ -45,6 +50,7 @@ pub mod checkpoint;
 pub mod fingerprint;
 pub mod history;
 pub mod kernels;
+mod layer_log;
 pub mod obs;
 pub mod obsctl;
 pub mod redundancy;

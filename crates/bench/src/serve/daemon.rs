@@ -43,6 +43,7 @@ use ant_sim::AntError;
 
 use crate::checkpoint::CheckpointFile;
 use crate::fingerprint::StableHasher;
+use crate::layer_log;
 use crate::runner::{try_simulate_network_parallel_checkpointed, RunOptions};
 use crate::serve::queue::{FairQueue, Shed};
 use crate::serve::spec::JobSpec;
@@ -1018,15 +1019,9 @@ fn execute_attempt(
         write_json_string(net.name, &mut jsonl);
         jsonl.push_str(",\"machine\":");
         write_json_string(machine.name(), &mut jsonl);
-        jsonl.push_str(&format!(",\"sparsity\":{sparsity},\"stats\":{{"));
-        for (fi, (name, value)) in result.total.fields().iter().enumerate() {
-            if fi > 0 {
-                jsonl.push(',');
-            }
-            write_json_string(name, &mut jsonl);
-            jsonl.push_str(&format!(":{value}"));
-        }
-        jsonl.push_str("}}\n");
+        jsonl.push_str(&format!(",\"sparsity\":{sparsity},\"stats\":"));
+        layer_log::write_counters(&result.total, &mut jsonl);
+        jsonl.push_str("}\n");
     }
     out.csv = csv;
     out.jsonl = jsonl;

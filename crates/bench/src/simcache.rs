@@ -19,22 +19,22 @@
 //!   poisoned lines are skipped and counted, never replayed; entries are
 //!   round-trip verified at write time (a counter above 2^53 would come
 //!   back rounded, so such entries stay in memory but are not persisted);
-//!   a failed append disables persistence and the run continues.
+//!   a failed append disables persistence and the run continues. The
+//!   counter payload and the append path are shared with the checkpoint
+//!   sidecar (`layer_log.rs`).
 //!
 //! The runner decides *what* may enter the cache (clean layers only, never
 //! under chaos injection); see `runner.rs` and docs/PERFORMANCE.md.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use ant_obs::json::Json;
 use ant_sim::cache::{CacheKey, LayerCache, LayerPhases, MODEL_VERSION};
-use ant_sim::chaos::{self, IoDomain, IoFault};
-use ant_sim::SimStats;
+use ant_sim::chaos::IoDomain;
 
 use crate::fingerprint::StableHasher;
+use crate::layer_log::{self, AppendLog};
 
 /// Schema tag on every persisted cache line; bump on incompatible change.
 pub const SCHEMA: &str = "ant-simcache/1";
@@ -72,24 +72,21 @@ pub struct CacheStoreStats {
     pub skipped_stale: usize,
     /// Lines whose self-check hash did not match their counters.
     pub skipped_poisoned: usize,
-    /// Entries kept in memory but not persisted (failed the write-time
-    /// round-trip verification).
+    /// Entries kept in memory whose line did not reach the on-disk store
+    /// while it was still being appended to: the line failed the
+    /// write-time round-trip verification, or its write was torn, hit
+    /// ENOSPC or failed (the last two stop persistence, and later entries
+    /// are not counted).
     pub dropped_writes: usize,
 }
 
 #[derive(Debug)]
 struct Store {
     cache: LayerCache,
-    writer: Option<BufWriter<File>>,
-    path: Option<PathBuf>,
-    loaded: usize,
-    skipped_corrupt: usize,
-    skipped_stale: usize,
-    skipped_poisoned: usize,
-    dropped_writes: usize,
-    /// Lines appended so far — the deterministic index for injected IO
-    /// faults (`ANT_CHAOS` `torn=`/`enospc=`).
-    appended: u64,
+    /// The on-disk store, when one is configured and could be opened.
+    log: Option<AppendLog>,
+    /// Load and write counters; `entries` is read from `cache` instead.
+    counts: CacheStoreStats,
 }
 
 #[derive(Debug)]
@@ -171,11 +168,7 @@ pub fn record(synth_key: CacheKey, content_key: CacheKey, phases: &LayerPhases) 
 pub fn stats() -> Option<CacheStoreStats> {
     with_store(|s| CacheStoreStats {
         entries: s.cache.len(),
-        loaded: s.loaded,
-        skipped_corrupt: s.skipped_corrupt,
-        skipped_stale: s.skipped_stale,
-        skipped_poisoned: s.skipped_poisoned,
-        dropped_writes: s.dropped_writes,
+        ..s.counts
     })
 }
 
@@ -183,147 +176,74 @@ impl Store {
     fn open(config: SimCacheConfig) -> Self {
         let mut store = Store {
             cache: LayerCache::new(),
-            writer: None,
-            path: None,
-            loaded: 0,
-            skipped_corrupt: 0,
-            skipped_stale: 0,
-            skipped_poisoned: 0,
-            dropped_writes: 0,
-            appended: 0,
+            log: None,
+            counts: CacheStoreStats::default(),
         };
         let Some(dir) = config.dir else {
             return store;
         };
         let path = dir.join("simcache.jsonl");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_entry(line) {
-                        Ok((synth, content, phases)) => {
-                            store.cache.insert(content, phases);
-                            if let Some(synth) = synth {
-                                store.cache.remember(synth, content);
-                            }
-                            store.loaded += 1;
-                        }
-                        Err(Skip::Corrupt) => store.skipped_corrupt += 1,
-                        Err(Skip::Stale) => store.skipped_stale += 1,
-                        Err(Skip::Poisoned) => store.skipped_poisoned += 1,
-                    }
+        let counts = &mut store.counts;
+        let read = layer_log::load(&path, |line| match parse_entry(line) {
+            Ok((synth, content, phases)) => {
+                store.cache.insert(content, phases);
+                if let Some(synth) = synth {
+                    store.cache.remember(synth, content);
                 }
+                counts.loaded += 1;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!(
-                    "ant-bench: simcache {}: unreadable ({e}); starting empty",
-                    path.display()
-                );
-            }
+            Err(Skip::Corrupt) => counts.skipped_corrupt += 1,
+            Err(Skip::Stale) => counts.skipped_stale += 1,
+            Err(Skip::Poisoned) => counts.skipped_poisoned += 1,
+        });
+        if let Err(e) = read {
+            eprintln!(
+                "ant-bench: simcache {}: unreadable ({e}); starting empty",
+                path.display()
+            );
         }
-        let skipped = store.skipped_corrupt + store.skipped_stale + store.skipped_poisoned;
+        let skipped = counts.skipped_corrupt + counts.skipped_stale + counts.skipped_poisoned;
         if skipped > 0 {
             eprintln!(
                 "ant-bench: simcache {}: skipped {skipped} line(s) \
                  ({} corrupt, {} stale, {} poisoned)",
                 path.display(),
-                store.skipped_corrupt,
-                store.skipped_stale,
-                store.skipped_poisoned
+                counts.skipped_corrupt,
+                counts.skipped_stale,
+                counts.skipped_poisoned
             );
         }
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
+        let _ = std::fs::create_dir_all(&dir);
+        match AppendLog::open(&path, IoDomain::SimCache, false) {
+            Ok(log) => store.log = Some(log),
+            Err(e) => eprintln!(
+                "ant-bench: simcache {}: cannot append ({e}); cache stays in-memory",
+                path.display()
+            ),
         }
-        match OpenOptions::new().create(true).append(true).open(&path) {
-            Ok(file) => store.writer = Some(BufWriter::new(file)),
-            Err(e) => {
-                eprintln!(
-                    "ant-bench: simcache {}: cannot append ({e}); cache stays in-memory",
-                    path.display()
-                );
-            }
-        }
-        store.path = Some(path);
         store
     }
 
     fn record(&mut self, synth_key: CacheKey, content_key: CacheKey, phases: &LayerPhases) {
         self.cache.insert(content_key, *phases);
         self.cache.remember(synth_key, content_key);
-        if self.writer.is_none() {
+        let Some(log) = self.log.as_mut().filter(|log| log.is_open()) else {
             return;
-        }
+        };
         let line = emit_entry(Some(synth_key), content_key, phases);
         // Round-trip verify before persisting: `Json` numbers are `f64`, so
         // a counter above 2^53 would come back rounded. The in-memory entry
         // stays (it is exact); only the disk write is dropped.
-        match parse_entry(&line) {
-            Ok((_, parsed_key, parsed)) if parsed_key == content_key && parsed == *phases => {}
-            _ => {
-                self.dropped_writes += 1;
-                eprintln!(
-                    "ant-bench: simcache: entry {} does not round-trip losslessly; not persisted",
-                    content_key.to_hex()
-                );
-                return;
-            }
-        }
-        let Some(writer) = self.writer.as_mut() else {
-            return;
-        };
-        let index = self.appended;
-        self.appended += 1;
-        match chaos::active().and_then(|c| c.io_fault_for(IoDomain::SimCache, index)) {
-            Some(IoFault::TornWrite) => {
-                // A torn write leaves a truncated line on disk; it fails to
-                // parse at the next load and degrades to a cache miss. The
-                // in-memory entry stays exact for this process.
-                let torn = &line.as_bytes()[..line.len() / 2];
-                let _ = writer
-                    .write_all(torn)
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush());
-                self.dropped_writes += 1;
-                ant_obs::registry().counter("simcache.io_torn").incr();
-                eprintln!(
-                    "ant-bench: simcache: injected torn write at line {index}; \
-                     entry {} degrades to a miss on reload",
-                    content_key.to_hex()
-                );
-                return;
-            }
-            Some(IoFault::Enospc) => {
-                self.dropped_writes += 1;
-                ant_obs::registry().counter("simcache.io_enospc").incr();
-                eprintln!(
-                    "ant-bench: simcache: injected ENOSPC at line {index}; \
-                     persistence disabled, run continues"
-                );
-                self.writer = None;
-                return;
-            }
-            None => {}
-        }
-        let ok = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if let Err(e) = ok {
-            let path = self
-                .path
-                .as_deref()
-                .map(Path::display)
-                .map(|d| d.to_string())
-                .unwrap_or_default();
+        let exact = matches!(parse_entry(&line),
+            Ok((_, key, parsed)) if key == content_key && parsed == *phases);
+        if !exact {
             eprintln!(
-                "ant-bench: simcache {path}: write failed ({e}); persistence disabled, \
-                 run continues"
+                "ant-bench: simcache: entry {} does not round-trip losslessly; not persisted",
+                content_key.to_hex()
             );
-            self.writer = None;
+        }
+        if !(exact && log.append(&line)) {
+            self.counts.dropped_writes += 1;
         }
     }
 }
@@ -345,32 +265,19 @@ fn check_hash(content_key: CacheKey, phases: &LayerPhases) -> u64 {
 }
 
 fn emit_entry(synth_key: Option<CacheKey>, content_key: CacheKey, phases: &LayerPhases) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str(&format!(
+    let mut out = format!(
         "{{\"schema\":\"{SCHEMA}\",\"version\":{MODEL_VERSION},\"key\":\"{}\"",
         content_key.to_hex()
-    ));
+    );
     if let Some(synth) = synth_key {
         out.push_str(&format!(",\"synth\":\"{}\"", synth.to_hex()));
     }
     out.push_str(&format!(
-        ",\"check\":\"{:016x}\",\"phases\":[",
+        ",\"check\":\"{:016x}\",\"phases\":",
         check_hash(content_key, phases)
     ));
-    for (pi, stats) in phases.iter().enumerate() {
-        if pi > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        for (fi, (name, value)) in stats.fields().iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
+    layer_log::write_phases(phases, &mut out);
+    out.push('}');
     out
 }
 
@@ -399,41 +306,16 @@ fn parse_entry(line: &str) -> Result<ParsedEntry, Skip> {
         .and_then(Json::as_str)
         .and_then(CacheKey::from_hex)
         .ok_or(Skip::Corrupt)?;
-    let synth = match json.get("synth") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .and_then(CacheKey::from_hex)
-                .ok_or(Skip::Corrupt)?,
-        ),
-    };
+    let synth = json
+        .get("synth")
+        .map(|v| v.as_str().and_then(CacheKey::from_hex).ok_or(Skip::Corrupt))
+        .transpose()?;
     let check = json
         .get("check")
         .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or(Skip::Corrupt)?;
-    let phases_json = json
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or(Skip::Corrupt)?;
-    if phases_json.len() != 3 {
-        return Err(Skip::Corrupt);
-    }
-    let mut phases = [SimStats::default(); 3];
-    for (stats, obj) in phases.iter_mut().zip(phases_json) {
-        let Json::Obj(map) = obj else {
-            return Err(Skip::Corrupt);
-        };
-        if map.len() != stats.fields().len() {
-            return Err(Skip::Corrupt);
-        }
-        for (name, value) in map {
-            let value = value.as_u64().ok_or(Skip::Corrupt)?;
-            if !stats.set_field(name, value) {
-                return Err(Skip::Corrupt);
-            }
-        }
-    }
+    let phases = layer_log::read_phases(json.get("phases")).map_err(|_| Skip::Corrupt)?;
     if check != check_hash(key, &phases) {
         return Err(Skip::Poisoned);
     }
@@ -442,6 +324,8 @@ fn parse_entry(line: &str) -> Result<ParsedEntry, Skip> {
 
 #[cfg(test)]
 mod tests {
+    use ant_sim::SimStats;
+
     use super::*;
 
     fn key(hi: u64, lo: u64) -> CacheKey {
@@ -481,6 +365,60 @@ mod tests {
         assert!(line.contains(needle), "fixture drifted: {line}");
         let poisoned = line.replacen(needle, "\"pe_cycles\":4", 1);
         assert!(matches!(parse_entry(&poisoned), Err(Skip::Poisoned)));
+    }
+
+    #[test]
+    fn store_wire_format_is_pinned() {
+        // A literal `ant-simcache/1` line (zero counters keep it short).
+        // Stores already on disk must keep loading and the writer must keep
+        // producing these bytes; breaking this test orphans every store.
+        let mut stored = String::from(
+            "{\"schema\":\"ant-simcache/1\",\"version\":1,\
+             \"key\":\"11112222333344445555666677778888\",\
+             \"synth\":\"0123456789abcdeffedcba9876543210\",\
+             \"check\":\"b9e1a0cfccfc0d34\",\"phases\":[",
+        );
+        for pi in 0..3 {
+            if pi > 0 {
+                stored.push(',');
+            }
+            stored.push('{');
+            for (fi, (name, _)) in SimStats::default().fields().iter().enumerate() {
+                if fi > 0 {
+                    stored.push(',');
+                }
+                stored.push_str(&format!("\"{name}\":0"));
+            }
+            stored.push('}');
+        }
+        stored.push_str("]}");
+        let synth = key(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210);
+        let content = key(0x1111_2222_3333_4444, 0x5555_6666_7777_8888);
+        let zero = [SimStats::default(); 3];
+        assert_eq!(emit_entry(Some(synth), content, &zero), stored);
+        let parsed = parse_entry(&stored).ok().expect("captured line loads");
+        assert_eq!(parsed, (Some(synth), content, zero));
+    }
+
+    #[test]
+    fn mutated_lines_are_rejected_or_keep_their_key_and_counters() {
+        let phases = sample_phases(13);
+        let line = emit_entry(Some(key(7, 8)), key(1, 2), &phases);
+        let mut accepted = 0;
+        for case in 0..2_000 {
+            let mutant = layer_log::tests::mutant(&line, 0x51CA, case);
+            if let Ok((_, content, parsed)) = parse_entry(&mutant) {
+                accepted += 1;
+                // The check hash covers the content key and every counter;
+                // only the memo key may change.
+                assert_eq!(
+                    (content, parsed),
+                    (key(1, 2), phases),
+                    "case {case}: {mutant}"
+                );
+            }
+        }
+        assert!(accepted > 0, "no mutant was accepted");
     }
 
     #[test]

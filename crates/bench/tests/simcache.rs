@@ -1,14 +1,19 @@
 //! End-to-end tests of the content-addressed simulation cache and the
 //! analytic fast path through the parallel runner.
 //!
-//! This file intentionally holds a single test: the cache activation
-//! override is process-global (like chaos injection), so scenarios run
-//! sequentially inside one test body.
+//! The in-process scenarios share one test body: the cache activation
+//! override is process-global (like chaos injection), so they run
+//! sequentially. The cold→warm test drives the `fig09_speedup_energy` and
+//! `obsctl` binaries in child processes and touches no global state.
+
+use std::path::Path;
+use std::process::Command;
 
 use ant_bench::runner::{
     try_simulate_network_parallel, ExperimentConfig, NetworkResult, RunOptions,
 };
 use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
+use ant_obs::json::Json;
 use ant_sim::inner::DenseInnerProduct;
 use ant_sim::scnn::ScnnPlus;
 use ant_sim::ConvSim;
@@ -163,4 +168,120 @@ fn cache_serves_warm_runs_byte_identically() {
 
     simcache::set_override(CacheOverride::Env);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `bin` with `args` and no inherited `ANT_*` variable, writing its
+/// sidecars under `target`; returns stdout.
+fn run_binary(bin: &str, args: &[&Path], target: &Path, cache_dir: &Path) -> String {
+    let mut cmd = Command::new(bin);
+    for (name, _) in std::env::vars() {
+        if name.starts_with("ANT_") {
+            cmd.env_remove(name);
+        }
+    }
+    let out = cmd
+        .args(args)
+        .env("CARGO_TARGET_DIR", target)
+        .env("ANT_CACHE_DIR", cache_dir)
+        .output()
+        .expect("binary starts");
+    assert!(
+        out.status.success(),
+        "{bin} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+/// One Fig. 9 process: its CSV, JSONL and manifest, plus `obsctl cache
+/// --json` over that manifest.
+fn fig09_process(target: &Path, cache_dir: &Path) -> (Vec<u8>, Vec<u8>, Json, Json) {
+    run_binary(
+        env!("CARGO_BIN_EXE_fig09_speedup_energy"),
+        &[],
+        target,
+        cache_dir,
+    );
+    let out = target.join("experiments");
+    let read = |ext: &str| std::fs::read(out.join(format!("fig09_speedup_energy.{ext}")));
+    let manifest_path = out.join("fig09_speedup_energy.manifest.json");
+    let manifest = std::fs::read_to_string(&manifest_path).expect("manifest written");
+    let report = run_binary(
+        env!("CARGO_BIN_EXE_obsctl"),
+        &[Path::new("cache"), &manifest_path, Path::new("--json")],
+        target,
+        cache_dir,
+    );
+    (
+        read("csv").expect("CSV written"),
+        read("jsonl").expect("JSONL written"),
+        ant_obs::parse_json(&manifest).expect("manifest parses"),
+        ant_obs::parse_json(&report).expect("obsctl cache report parses"),
+    )
+}
+
+#[test]
+fn fig09_warm_process_replays_the_cold_one_from_the_store() {
+    let target = std::env::temp_dir().join(format!("ant_bench_fig09_warm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&target);
+    let cache_dir = target.join("store");
+    let (cold_csv, cold_jsonl, cold_manifest, cold) = fig09_process(&target, &cache_dir);
+    let (warm_csv, warm_jsonl, warm_manifest, warm) = fig09_process(&target, &cache_dir);
+
+    assert!(
+        cold_csv == warm_csv,
+        "warm fig09 CSV diverged from the cold run"
+    );
+    assert!(
+        cold_jsonl == warm_jsonl,
+        "warm fig09 JSONL diverged from the cold run"
+    );
+    // The manifests also carry wall times and cache counters; the
+    // simulated sections must match exactly.
+    for section in ["stats", "config"] {
+        assert_eq!(
+            cold_manifest.get(section),
+            warm_manifest.get(section),
+            "manifest {section} diverged"
+        );
+    }
+    let total = |report: &Json, key: &str| {
+        report
+            .get("totals")
+            .and_then(|t| t.get(key))
+            .and_then(Json::as_u64)
+            .expect("cache totals")
+    };
+    for (which, report) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(
+            report.get("schema").and_then(Json::as_str),
+            Some("ant-cache-stats/1"),
+            "{which}"
+        );
+        assert_eq!(
+            report.get("consistent"),
+            Some(&Json::Bool(true)),
+            "{which}: obsctl cache totals disagree with the runner registry"
+        );
+        assert_eq!(
+            report.get("keys_skipped").and_then(Json::as_u64),
+            Some(0),
+            "{which}"
+        );
+        assert!(
+            report
+                .get("rows")
+                .and_then(Json::as_array)
+                .is_some_and(|r| !r.is_empty()),
+            "{which} run recorded no per-network cache rows"
+        );
+    }
+    assert!(total(&cold, "misses") > 0, "cold run never missed");
+    assert!(total(&warm, "hits") > 0, "warm run never hit");
+    assert_eq!(
+        total(&warm, "misses"),
+        0,
+        "warm run missed despite a populated store"
+    );
+    let _ = std::fs::remove_dir_all(&target);
 }

@@ -132,7 +132,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (exact for integer-shaped input up to 64 bits).
+    /// Any JSON number, held as `f64`: integers are exact only up to
+    /// 2^53, so writers that need exact 64-bit counters check that each
+    /// line round-trips before persisting it.
     Num(f64),
     /// A string.
     Str(String),

@@ -349,67 +349,10 @@ print(f"redundancy observatory: {len(rows)} fig09 rows schema-ok, "
       f"tab05 avoided mean {mean:.4f} == {expected:.4f}")
 PY
 
-echo "== simulation-cache smoke (cold -> warm fig09: byte-identical outputs, warm served from cache)"
-# Two fig09 sweeps sharing one on-disk cache: the cold run populates
-# <dir>/simcache.jsonl, the warm run must answer every layer lookup from
-# it (zero misses) and reproduce the cold CSV/JSONL byte for byte. The
-# obsctl cache report must agree with the runner's registry counters on
-# both runs. The wall-time ratio is reported, not gated: CI boxes are too
-# noisy to pin a speedup factor (the fig09-warm ledger label tracks it).
-SIMCACHE_DIR="target/experiments/ci_simcache"
-SIMCACHE_COLD_CSV="target/experiments/ci_simcache_cold.csv"
-SIMCACHE_COLD_JSONL="target/experiments/ci_simcache_cold.jsonl"
-SIMCACHE_COLD_MANIFEST="target/experiments/ci_simcache_cold.manifest.json"
-FIG09_CSV="target/experiments/fig09_speedup_energy.csv"
-FIG09_JSONL="target/experiments/fig09_speedup_energy.jsonl"
-rm -rf "$SIMCACHE_DIR"
-COLD_START=$(date +%s%N)
-ANT_CACHE_DIR="$SIMCACHE_DIR" ./target/release/fig09_speedup_energy >/dev/null
-COLD_NS=$(( $(date +%s%N) - COLD_START ))
-cp "$FIG09_CSV" "$SIMCACHE_COLD_CSV"
-cp "$FIG09_JSONL" "$SIMCACHE_COLD_JSONL"
-cp "$FIG09_MANIFEST" "$SIMCACHE_COLD_MANIFEST"
-"$OBSCTL" cache "$FIG09_MANIFEST" --json \
-  > target/experiments/ci_obsctl_cache_cold.json
-WARM_START=$(date +%s%N)
-ANT_CACHE_DIR="$SIMCACHE_DIR" ./target/release/fig09_speedup_energy >/dev/null
-WARM_NS=$(( $(date +%s%N) - WARM_START ))
-cmp -s "$SIMCACHE_COLD_CSV" "$FIG09_CSV" \
-  || { echo "warm fig09 CSV diverged from the cold run" >&2; exit 1; }
-cmp -s "$SIMCACHE_COLD_JSONL" "$FIG09_JSONL" \
-  || { echo "warm fig09 JSONL diverged from the cold run" >&2; exit 1; }
-"$OBSCTL" cache "$FIG09_MANIFEST" --json \
-  > target/experiments/ci_obsctl_cache_warm.json
-python3 - "$COLD_NS" "$WARM_NS" <<'PY'
-import json, sys
-
-cold = json.load(open("target/experiments/ci_obsctl_cache_cold.json"))
-warm = json.load(open("target/experiments/ci_obsctl_cache_warm.json"))
-for which, report in (("cold", cold), ("warm", warm)):
-    assert report["schema"] == "ant-cache-stats/1", report["schema"]
-    assert report["consistent"] is True, \
-        f"{which}: obsctl cache totals disagree with runner registry: {report}"
-    assert report["keys_skipped"] == 0, (which, report["keys_skipped"])
-    assert report["rows"], f"{which} run recorded no per-network cache rows"
-assert cold["totals"]["misses"] > 0, f"cold run never missed: {cold['totals']}"
-assert warm["totals"]["hits"] > 0, f"warm run never hit: {warm['totals']}"
-assert warm["totals"]["misses"] == 0, \
-    f"warm run missed despite a populated store: {warm['totals']}"
-# The manifests carry wall times and the differing cache counters, so
-# byte-compare stops at the deterministic simulated sections: stats and
-# config must match exactly between cold and warm.
-cold_man = json.load(open("target/experiments/ci_simcache_cold.manifest.json"))
-warm_man = json.load(open("target/experiments/fig09_speedup_energy.manifest.json"))
-for section in ("stats", "config"):
-    assert cold_man[section] == warm_man[section], \
-        f"manifest {section} diverged: {cold_man[section]} != {warm_man[section]}"
-cold_ns, warm_ns = int(sys.argv[1]), int(sys.argv[2])
-speedup = cold_ns / warm_ns if warm_ns else float("inf")
-print(f"simulation cache: warm hit rate {warm['totals']['hit_rate']:.2f} "
-      f"({warm['totals']['hits']} hits / {cold['totals']['misses']} cold misses), "
-      f"outputs byte-identical, warm sweep {speedup:.1f}x faster "
-      f"({cold_ns/1e9:.1f}s -> {warm_ns/1e9:.1f}s)")
-PY
+echo "== simulation-cache invariants (bit-identity and steady-state allocation under ANT_CACHE=1)"
+# The cold -> warm fig09 smoke (byte-identical CSV/JSONL, zero warm misses,
+# equal manifest stats/config, obsctl cache == registry) is the tier-1 test
+# tests/simcache.rs::fig09_warm_process_replays_the_cold_one_from_the_store.
 # The hot-path invariants hold with the cache active: the serial/parallel
 # bit-identity test and the steady-state allocation gate rerun under
 # ANT_CACHE=1 (cache hits may only change speed, never results or the
