@@ -165,7 +165,9 @@ impl HistoryEntry {
         let repeats = json
             .get("repeats")
             .and_then(|n| n.as_u64())
-            .ok_or("missing repeats")? as u32;
+            .ok_or("missing repeats")?;
+        let repeats =
+            u32::try_from(repeats).map_err(|_| format!("repeats {repeats} out of range"))?;
         let mut metrics = BTreeMap::new();
         let map = json
             .get("metrics")
@@ -185,10 +187,14 @@ impl HistoryEntry {
         })
     }
 
-    /// A short human identity: label plus abbreviated revision.
+    /// A short human identity: label plus the revision's first ten
+    /// characters.
     pub fn describe(&self) -> String {
         match &self.git_revision {
-            Some(rev) => format!("{} @ {}", self.label, &rev[..rev.len().min(10)]),
+            Some(rev) => {
+                let cut = rev.char_indices().nth(10).map_or(rev.len(), |(at, _)| at);
+                format!("{} @ {}", self.label, &rev[..cut])
+            }
             None => format!("{} @ (no revision)", self.label),
         }
     }
@@ -857,6 +863,61 @@ mod tests {
         assert!(runs[1].get("git_revision").is_some(), "null revision key kept");
         assert_eq!(s(&runs[1], "git_revision"), None);
         assert_eq!(runs[1].get("metric_count").and_then(|v| v.as_u64()), Some(1));
+    }
+
+    #[test]
+    fn parse_rejects_repeats_beyond_u32() {
+        let line = entry(&[])
+            .to_json_line()
+            .replace("\"repeats\":3", "\"repeats\":4294967299");
+        let err = HistoryEntry::parse(&line).expect_err("2^32 + 3 repeats is no u32");
+        assert!(err.contains("repeats"), "{err}");
+    }
+
+    #[test]
+    fn describe_cuts_the_revision_at_a_character_boundary() {
+        let mut e = entry(&[]);
+        e.git_revision = Some("abcdefghi\u{e9}x".to_string());
+        let line = e.to_json_line();
+        let loaded = HistoryEntry::parse(&line).expect("a multi-byte revision parses");
+        assert_eq!(loaded.describe(), "fig09 @ abcdefghi\u{e9}");
+        assert_eq!(entry(&[]).describe(), "fig09 @ deadbeef01");
+    }
+
+    #[test]
+    fn mutated_lines_are_rejected_or_re_emit_exactly() {
+        let mut unrevised = entry(&[("tiny/wall_us", 291.0), ("tiny/ant_energy_uj", 0.002890005)]);
+        unrevised.git_revision = None;
+        let committed = include_str!("../../../BENCH_history.jsonl")
+            .lines()
+            .next()
+            .expect("the committed ledger has a line");
+        let corpus = [
+            entry(&[
+                ("vgg16/ant_cycles", 123456.0),
+                ("vgg16/wall_us_spread", 0.04),
+            ])
+            .to_json_line(),
+            unrevised.to_json_line(),
+            committed.to_string(),
+        ];
+        let mut accepted = 0;
+        for (seed, line) in (0x4157u64..).zip(&corpus) {
+            for case in 0..2_000 {
+                let mutant = crate::layer_log::tests::mutant(line, seed, case);
+                let Ok(parsed) = HistoryEntry::parse(&mutant) else {
+                    continue;
+                };
+                accepted += 1;
+                let _ = parsed.describe();
+                let emitted = parsed.to_json_line();
+                let again = HistoryEntry::parse(&emitted)
+                    .unwrap_or_else(|e| panic!("case {case}: {mutant}: re-emitted line: {e}"));
+                assert_eq!(again.to_json_line(), emitted, "case {case}: {mutant}");
+            }
+        }
+        // Flips inside digits, names and the revision keep some lines valid.
+        assert!(accepted > 0, "no mutant was accepted");
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!   ([`count_useful_products_with`]) on the ResNet-50 stem's forward pair
 //!   (the row walk at 90% sparsity) and update pair (the prefix planes),
 //!   reusing one [`NzCounterScratch`] like the simulator.
+//! * `ant_pair_fwd` / `ant_pair_upd` — ANT's whole pair
+//!   ([`AntAccelerator::simulate_conv_pair_scratch`] at the paper
+//!   configuration, no accumulator-bank model) on the same stem operands,
+//!   reusing one [`SimScratch`] like a simulator worker.
 //!
 //! Each bench takes min-of-K batch timings (`std::hint::black_box` on every
 //! checksum so nothing folds away) and lands in the ledger as
@@ -43,6 +47,8 @@ use ant_core::fnir::Fnir;
 use ant_core::range::GroupRanges;
 use ant_core::scan::{scan_kernel_into, KernelScan};
 use ant_sim::accum::AccumulatorBanks;
+use ant_sim::ant::AntAccelerator;
+use ant_sim::{ConvSim, SimScratch};
 use ant_sparse::{sparsify, Bitmask, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -337,6 +343,25 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
                 Box::new(move || count_useful_products_with(&kernel, &image, &shape, &mut scratch)),
             ));
         }
+
+        for (kernel_name, operands, shape, iters) in [
+            ("ant_pair_fwd", "useful_count_fwd", stem_forward(), 16),
+            ("ant_pair_upd", "useful_count_upd", stem_update(), 4),
+        ] {
+            let (kernel, image) = stem_operands(operands, &shape, sparsity);
+            let ant = AntAccelerator::paper_default();
+            let mut scratch = SimScratch::new();
+            benches.push(KernelBench::new(
+                kernel_name,
+                case.clone(),
+                iters,
+                Box::new(move || {
+                    let stats =
+                        ant.simulate_conv_pair_scratch(&kernel, &image, &shape, &mut scratch);
+                    stats.mults ^ stats.pe_cycles
+                }),
+            ));
+        }
     }
     benches
 }
@@ -427,7 +452,7 @@ mod tests {
     fn standard_benches_cover_every_kernel_at_every_point() {
         for (grid, points) in [(Grid::Full, 3), (Grid::Tiny, 1)] {
             let benches = standard_benches(grid);
-            assert_eq!(benches.len(), 8 * points);
+            assert_eq!(benches.len(), 10 * points);
             let names: std::collections::BTreeSet<String> = benches
                 .iter()
                 .map(|b| format!("{}/{}", b.kernel(), b.case()))
@@ -442,6 +467,8 @@ mod tests {
                 "fingerprint",
                 "useful_count_fwd",
                 "useful_count_upd",
+                "ant_pair_fwd",
+                "ant_pair_upd",
             ] {
                 assert_eq!(
                     benches.iter().filter(|b| b.kernel() == kernel).count(),
@@ -472,7 +499,7 @@ mod tests {
     #[test]
     fn tiny_grid_measures_and_builds_a_ledger_entry() {
         let (results, entry) = record(Grid::Tiny, 2);
-        assert_eq!(results.len(), 8);
+        assert_eq!(results.len(), 10);
         for r in &results {
             assert!(
                 r.measurement.ns_per_op > 0.0,
@@ -482,7 +509,7 @@ mod tests {
             assert!(r.measurement.spread >= 0.0);
         }
         assert_eq!(entry.label, LABEL);
-        assert_eq!(entry.metrics.len(), 16); // ns_per_op + _spread per bench
+        assert_eq!(entry.metrics.len(), 20); // ns_per_op + _spread per bench
         for r in &results {
             let name = r.metric_name();
             assert_eq!(entry.metrics[&name], r.measurement.ns_per_op);

@@ -5,15 +5,28 @@
 //! This is the library entry point for downstream users; the cycle/energy
 //! simulator in `ant-sim` composes the same pieces with pipeline and
 //! multi-PE modelling on top.
+//!
+//! Conv and matmul each have two paths over one range stage and one kernel
+//! walk. The functional path ([`Anticipator::run_conv_with`],
+//! [`Anticipator::run_matmul_with`] and the allocating entry points over
+//! them) computes the output, streams every selected kernel element and
+//! classifies each executed product. The counters-only path
+//! ([`Anticipator::run_conv_counters`], [`Anticipator::run_matmul_counters`])
+//! returns exactly the same [`AntCounters`] without the output: it counts
+//! selections per group and takes the useful products from an exact
+//! counter, since ANT executes every valid product.
 
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::IndexRange;
+use ant_conv::rcp::{count_useful_products_with, IndexRange, NzCounterScratch};
 use ant_conv::{ConvError, ConvShape};
 use ant_sparse::{CsrMatrix, DenseMatrix};
 
 use crate::fnir::Fnir;
 use crate::range::{compute_matmul_r_range, compute_ranges, GroupRanges};
-use crate::scan::{scan_kernel, scan_kernel_into, scan_kernel_matmul_into, KernelScan};
+use crate::scan::{
+    scan_kernel, scan_kernel_into, scan_kernel_matmul_into, stream_kernel_matmul, walk_kernel,
+    KernelScan,
+};
 
 /// ANT PE configuration (paper Table 4 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,14 +210,17 @@ pub struct AntRun {
     pub counters: AntCounters,
 }
 
-/// Reusable working memory for [`Anticipator::run_conv_with`] /
-/// [`Anticipator::run_matmul_with`].
+/// Reusable working memory for the scratch entry points of
+/// [`Anticipator`]: [`Anticipator::run_conv_with`],
+/// [`Anticipator::run_matmul_with`] and their counters-only twins
+/// [`Anticipator::run_conv_counters`] and
+/// [`Anticipator::run_matmul_counters`].
 ///
 /// One scratch per worker: after the first pair warms its buffers up to the
 /// largest shapes seen, subsequent pairs run without any heap allocation.
-/// The scratch may be shared across anticipator configurations and operand
-/// shapes — every run fully re-initializes the state it reads. Results are
-/// bit-identical to the allocating entry points.
+/// The scratch may be shared across anticipator configurations, operand
+/// shapes and entry points — every run fully re-initializes the state it
+/// reads. Results are bit-identical to the allocating entry points.
 #[derive(Debug, Clone)]
 pub struct AntScratch {
     /// The scanned operand's non-zeros, in group order.
@@ -217,8 +233,10 @@ pub struct AntScratch {
     scan: KernelScan,
     /// Flat output indices of the current multiplier cycle's valid products.
     cycle_outputs: Vec<usize>,
-    /// The accumulated output matrix (valid after a run).
+    /// The accumulated output matrix (valid after a functional run).
     output: DenseMatrix,
+    /// Prefix planes for the counters-only conv path's useful count.
+    nz_counter: NzCounterScratch,
 }
 
 impl AntScratch {
@@ -231,10 +249,12 @@ impl AntScratch {
             scan: KernelScan::default(),
             cycle_outputs: Vec::new(),
             output: DenseMatrix::zeros(1, 1),
+            nz_counter: NzCounterScratch::new(),
         }
     }
 
-    /// The output matrix accumulated by the most recent run.
+    /// The output matrix accumulated by the most recent functional run
+    /// (the counters-only entry points leave it untouched).
     pub fn output(&self) -> &DenseMatrix {
         &self.output
     }
@@ -355,18 +375,86 @@ impl Anticipator {
     ) -> Result<AntCounters, ConvError> {
         check_conv_shapes(kernel, image, shape)?;
         scratch.output.reset_zeroed(shape.out_h(), shape.out_w());
+        let mut counters = self.conv_group_ranges(kernel, image, shape, scratch);
+        for (group, ranges) in scratch.entries.chunks(self.config.n).zip(&scratch.ranges) {
+            scan_kernel_into(kernel, ranges, &self.fnir, &mut scratch.scan);
+            consume_scan(
+                &scratch.scan,
+                group,
+                shape,
+                &mut scratch.output,
+                &mut counters,
+                &mut scratch.cycle_outputs,
+                &mut observer,
+            );
+        }
+        counters.rcps_skipped = counters.pairs_total - counters.multiplications;
+        Ok(counters)
+    }
+
+    /// The counters of [`Anticipator::run_conv_with`], exactly, without the
+    /// functional convolution: no output is accumulated (the scratch's
+    /// output is left untouched), no selected kernel element is
+    /// materialized and no output index is computed.
+    ///
+    /// The range stage and the kernel walk are the ones
+    /// [`Anticipator::run_conv_with`] runs; the walk counts each group's
+    /// selections, so `multiplications` (and `output_index_ops`) grow by
+    /// selections × group size. ANT executes every valid product (the
+    /// group ranges are conservative and the FNIR feedback never skips an
+    /// in-range index), so `useful` is the pair's exact useful-product
+    /// count ([`count_useful_products_with`]), `accumulator_writes` equals
+    /// it and `rcps_executed` is the rest of the multiplications.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvError::OperandShapeMismatch`] when operands disagree
+    /// with `shape`.
+    pub fn run_conv_counters(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut AntScratch,
+    ) -> Result<AntCounters, ConvError> {
+        check_conv_shapes(kernel, image, shape)?;
+        let mut counters = self.conv_group_ranges(kernel, image, shape, scratch);
+        for (group, ranges) in scratch.entries.chunks(self.config.n).zip(&scratch.ranges) {
+            walk_kernel(kernel, ranges, &self.fnir, &mut scratch.scan, |_, _| {});
+            add_scan(&mut counters, &scratch.scan);
+            counters.multiplications += scratch.scan.value_reads * group.len() as u64;
+        }
+        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
+        Ok(finish_counters(counters, useful))
+    }
+
+    /// The range stage of a conv pair, shared by both conv paths: splits
+    /// the image's non-zeros into `n`-element groups in CSR order
+    /// (`scratch.entries`) and precomputes one [`GroupRanges`] per group
+    /// (`scratch.ranges`) with the Fig. 14 ablation overrides applied, the
+    /// way the hardware's range stage runs ahead of the FNIR scan. Returns
+    /// the pair's counters with `pairs_total` and what this stage and the
+    /// stationary image account: `groups`, `image_reads` and `range_ops`.
+    fn conv_group_ranges(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut AntScratch,
+    ) -> AntCounters {
         let mut counters = AntCounters {
             pairs_total: kernel.nnz() as u64 * image.nnz() as u64,
             ..AntCounters::default()
         };
         scratch.entries.clear();
         scratch.entries.extend(image.iter());
-        // Range prepass: one table entry per image group.
         scratch.ranges.clear();
         for group in scratch.entries.chunks(self.config.n) {
             scratch.coords.clear();
             scratch.coords.extend(group.iter().map(|&(y, x, _)| (y, x)));
             let mut ranges = compute_ranges(shape, &scratch.coords);
+            counters.groups += 1;
+            counters.image_reads += 2 * group.len() as u64; // value + index
             counters.range_ops += ranges.ops.comparisons + ranges.ops.additions;
             if !self.config.use_r {
                 ranges.r = IndexRange {
@@ -382,22 +470,7 @@ impl Anticipator {
             }
             scratch.ranges.push(ranges);
         }
-        for (gi, group) in scratch.entries.chunks(self.config.n).enumerate() {
-            counters.groups += 1;
-            counters.image_reads += 2 * group.len() as u64; // value + index
-            scan_kernel_into(kernel, &scratch.ranges[gi], &self.fnir, &mut scratch.scan);
-            consume_scan(
-                &scratch.scan,
-                group,
-                shape,
-                &mut scratch.output,
-                &mut counters,
-                &mut scratch.cycle_outputs,
-                &mut observer,
-            );
-        }
-        counters.rcps_skipped = counters.pairs_total - counters.multiplications;
-        Ok(counters)
+        counters
     }
 
     /// Runs a sparse convolution in the kernel-stationary dataflow
@@ -580,45 +653,11 @@ impl Anticipator {
     ) -> Result<AntCounters, ConvError> {
         check_matmul_shapes(image, kernel, shape)?;
         scratch.output.reset_zeroed(shape.image_h(), shape.kernel_s());
-        let mut counters = AntCounters {
-            pairs_total: kernel.nnz() as u64 * image.nnz() as u64,
-            ..AntCounters::default()
-        };
-        // Matmul mode consumes the image in column-major (CSC) order: the
-        // validity condition is `r == x`, so grouping elements that share
-        // their column `x` makes the `r` range `[x_0, x_{n-1}]` (Eq. 15)
-        // collapse to (nearly) a single kernel row. The paper notes CSC
-        // "would work equally well with ANT" (Section 4.1); this ordering is
-        // what achieves the >99% RCP elimination of Section 7.8.
-        // Coordinates are unique, so the unstable sort is deterministic.
-        scratch.entries.clear();
-        scratch.entries.extend(image.iter());
-        scratch.entries.sort_unstable_by_key(|&(y, x, _)| (x, y));
-        // Range prepass: one table entry per image group (Eq. 15 ranges).
-        scratch.ranges.clear();
-        for group in scratch.entries.chunks(self.config.n) {
-            scratch.coords.clear();
-            scratch.coords.extend(group.iter().map(|&(y, x, _)| (y, x)));
-            let ranges: GroupRanges = compute_matmul_r_range(&scratch.coords);
-            counters.range_ops += ranges.ops.comparisons + ranges.ops.additions;
-            scratch.ranges.push(ranges);
-        }
-        for (gi, group) in scratch.entries.chunks(self.config.n).enumerate() {
-            counters.groups += 1;
-            counters.image_reads += 2 * group.len() as u64;
-            scan_kernel_matmul_into(
-                kernel,
-                scratch.ranges[gi].r,
-                self.config.n,
-                &mut scratch.scan,
-            );
-            let scan = &scratch.scan;
-            counters.scan_cycles += scan.cycles;
-            counters.mult_cycles += scan.mult_cycles;
-            counters.rowptr_reads += scan.rowptr_reads;
-            counters.colidx_reads += scan.colidx_reads;
-            counters.value_reads += scan.value_reads;
-            for entry in &scan.selected {
+        let mut counters = self.matmul_group_ranges(kernel, image, scratch);
+        for (group, ranges) in scratch.entries.chunks(self.config.n).zip(&scratch.ranges) {
+            scan_kernel_matmul_into(kernel, ranges.r, self.config.n, &mut scratch.scan);
+            add_scan(&mut counters, &scratch.scan);
+            for entry in &scratch.scan.selected {
                 for &(y, x, iv) in group {
                     counters.multiplications += 1;
                     counters.output_index_ops += 1;
@@ -635,6 +674,99 @@ impl Anticipator {
         counters.rcps_skipped = counters.pairs_total - counters.multiplications;
         Ok(counters)
     }
+
+    /// The counters of [`Anticipator::run_matmul_with`], exactly, without
+    /// the functional product (see [`Anticipator::run_conv_counters`]).
+    /// Each group's stream is closed-form: every element of the kernel rows
+    /// inside its `r` range streams, `n` per cycle. `useful` is the valid
+    /// products' count, `Σ_r row_len(r) × col_nnz(r)` (`r == x`), taken as
+    /// one kernel row length per image non-zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvError::OperandShapeMismatch`] when operands disagree
+    /// with `shape`.
+    pub fn run_matmul_counters(
+        &self,
+        image: &CsrMatrix,
+        kernel: &CsrMatrix,
+        shape: &MatmulShape,
+        scratch: &mut AntScratch,
+    ) -> Result<AntCounters, ConvError> {
+        check_matmul_shapes(image, kernel, shape)?;
+        let mut counters = self.matmul_group_ranges(kernel, image, scratch);
+        for (group, ranges) in scratch.entries.chunks(self.config.n).zip(&scratch.ranges) {
+            stream_kernel_matmul(kernel, ranges.r, self.config.n, &mut scratch.scan);
+            add_scan(&mut counters, &scratch.scan);
+            counters.multiplications += scratch.scan.value_reads * group.len() as u64;
+        }
+        let useful = scratch
+            .entries
+            .iter()
+            .map(|&(_, x, _)| kernel.row_range(x).len() as u64)
+            .sum();
+        Ok(finish_counters(counters, useful))
+    }
+
+    /// The range stage of a matmul pair, shared by both matmul paths (see
+    /// [`Anticipator::conv_group_ranges`]): groups the image's non-zeros in
+    /// column-major order and precomputes each group's Eq. 15 `r` range.
+    fn matmul_group_ranges(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        scratch: &mut AntScratch,
+    ) -> AntCounters {
+        let mut counters = AntCounters {
+            pairs_total: kernel.nnz() as u64 * image.nnz() as u64,
+            ..AntCounters::default()
+        };
+        // Matmul mode consumes the image in column-major (CSC) order: the
+        // validity condition is `r == x`, so grouping elements that share
+        // their column `x` makes the `r` range `[x_0, x_{n-1}]` (Eq. 15)
+        // collapse to (nearly) a single kernel row. The paper notes CSC
+        // "would work equally well with ANT" (Section 4.1); this ordering is
+        // what achieves the >99% RCP elimination of Section 7.8.
+        // Coordinates are unique, so the unstable sort is deterministic.
+        scratch.entries.clear();
+        scratch.entries.extend(image.iter());
+        scratch.entries.sort_unstable_by_key(|&(y, x, _)| (x, y));
+        scratch.ranges.clear();
+        for group in scratch.entries.chunks(self.config.n) {
+            scratch.coords.clear();
+            scratch.coords.extend(group.iter().map(|&(y, x, _)| (y, x)));
+            let ranges: GroupRanges = compute_matmul_r_range(&scratch.coords);
+            counters.groups += 1;
+            counters.image_reads += 2 * group.len() as u64;
+            counters.range_ops += ranges.ops.comparisons + ranges.ops.additions;
+            scratch.ranges.push(ranges);
+        }
+        counters
+    }
+}
+
+/// Adds one group's kernel-scan counters (cycles and SRAM and comparator
+/// traffic) to a pair's counters.
+fn add_scan(counters: &mut AntCounters, scan: &KernelScan) {
+    counters.scan_cycles += scan.cycles;
+    counters.mult_cycles += scan.mult_cycles;
+    counters.rowptr_reads += scan.rowptr_reads;
+    counters.colidx_reads += scan.colidx_reads;
+    counters.value_reads += scan.value_reads;
+    counters.fnir_comparator_ops += scan.fnir_comparator_ops;
+}
+
+/// Completes a counters-only run from its executed `multiplications` and
+/// the pair's `useful` count: every valid product executes, so each useful
+/// product is one output index and one accumulator write, and the other
+/// executed products are the RCPs the ranges let through.
+fn finish_counters(mut counters: AntCounters, useful: u64) -> AntCounters {
+    counters.output_index_ops = counters.multiplications;
+    counters.useful = useful;
+    counters.accumulator_writes = useful;
+    counters.rcps_executed = counters.multiplications - useful;
+    counters.rcps_skipped = counters.pairs_total - counters.multiplications;
+    counters
 }
 
 /// Folds one kernel scan into the counters and output, invoking `observer`
@@ -649,12 +781,7 @@ fn consume_scan(
     cycle_outputs: &mut Vec<usize>,
     observer: &mut impl FnMut(&[usize]),
 ) {
-    counters.scan_cycles += scan.cycles;
-    counters.mult_cycles += scan.mult_cycles;
-    counters.rowptr_reads += scan.rowptr_reads;
-    counters.colidx_reads += scan.colidx_reads;
-    counters.value_reads += scan.value_reads;
-    counters.fnir_comparator_ops += scan.fnir_comparator_ops;
+    add_scan(counters, scan);
     cycle_outputs.clear();
     let mut current_cycle = u64::MAX;
     for entry in &scan.selected {

@@ -13,8 +13,11 @@
 //! 4. fetches values *only* for selected indices.
 //!
 //! [`scan_kernel`] executes this walk and reports every SRAM access and
-//! every selected element, which is everything the cycle/energy simulator in
-//! `ant-sim` needs.
+//! every selected element. The anticipator's counters-only pair path runs
+//! the same walk but only counts the selections, since the cycle/energy
+//! simulator in `ant-sim` needs nothing else.
+
+use std::ops::Range;
 
 use ant_conv::rcp::IndexRange;
 use ant_sparse::CsrMatrix;
@@ -98,12 +101,48 @@ pub fn scan_kernel(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir) -> Ker
 }
 
 /// [`scan_kernel`] into a caller-owned [`KernelScan`], reusing its
-/// `selected` capacity. This is the steady-state-allocation-free hot path:
+/// `selected` capacity, so a warm scan allocates nothing:
 /// FNIR windows are evaluated word-parallel via [`Fnir::select_cols`]
 /// directly on the CSR columns slice (no per-window `Vec` collect), and the
 /// row of each selected element is recovered with a forward row-pointer
 /// cursor instead of a per-span row table.
 pub fn scan_kernel_into(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir, scan: &mut KernelScan) {
+    let mut selected = std::mem::take(&mut scan.selected);
+    selected.clear();
+    let (row_ptr, cols, vals) = (kernel.row_ptr(), kernel.col_idx(), kernel.values());
+    // Selected positions are strictly increasing, so one forward walk of the
+    // row-pointer table, from the first row in range, recovers each
+    // position's kernel row.
+    let mut cur_row = first_row(kernel, ranges.r);
+    walk_kernel(kernel, ranges, fnir, scan, |idx, cycle| {
+        while row_ptr[cur_row + 1] <= idx {
+            cur_row += 1;
+        }
+        selected.push(SelectedEntry {
+            r: cur_row,
+            s: cols[idx],
+            value: vals[idx],
+            cycle,
+        });
+    });
+    scan.selected = selected;
+}
+
+/// The Kernel Indices Buffer walk behind [`scan_kernel_into`] and the
+/// anticipator's counters-only pair path: clamps the `r` range, then moves
+/// a `k`-wide FNIR window over the Columns-array span of the rows inside it,
+/// jumping to the feedback output when there is one. Every SRAM access and
+/// comparator operation lands in `scan`'s counters (its `selected` stream
+/// is cleared and left empty); `on_selected(idx, cycle)` sees the position
+/// of each selected element in the kernel's CSR arrays, in strictly
+/// increasing order, with the scan cycle that selected it.
+pub(crate) fn walk_kernel(
+    kernel: &CsrMatrix,
+    ranges: &GroupRanges,
+    fnir: &Fnir,
+    scan: &mut KernelScan,
+    mut on_selected: impl FnMut(usize, u64),
+) {
     scan.reset();
     // Clamp the r range to the kernel's rows; an empty clamp means every
     // product would be an RCP and nothing is read at all.
@@ -114,36 +153,15 @@ pub fn scan_kernel_into(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir, s
     scan.rowptr_reads = (r_hi - r_lo + 2) as u64;
     let row_ptr = kernel.row_ptr();
     let start = row_ptr[r_lo];
-    let end = row_ptr[r_hi + 1];
-    if start == end {
-        return;
-    }
-    let cols = &kernel.col_idx()[start..end];
-    let vals = &kernel.values()[start..end];
+    let cols = &kernel.col_idx()[start..row_ptr[r_hi + 1]];
     let k = fnir.k();
-    // Selected stream positions are strictly increasing (FNIR lane order
-    // within a window, and the feedback pointer always advances past every
-    // selected lane), so one forward walk of the row-pointer table recovers
-    // each position's kernel row.
-    let mut cur_row = r_lo;
     let mut ptr = 0usize;
     while ptr < cols.len() {
-        let window_end = (ptr + k).min(cols.len());
-        let window = &cols[ptr..window_end];
+        let window = &cols[ptr..(ptr + k).min(cols.len())];
         scan.colidx_reads += window.len() as u64;
         let cycle = scan.cycles;
-        let selected = &mut scan.selected;
         let out = fnir.select_cols(ranges.s.min, ranges.s.max, window, |pos| {
-            let idx = ptr + pos;
-            while row_ptr[cur_row + 1] - start <= idx {
-                cur_row += 1;
-            }
-            selected.push(SelectedEntry {
-                r: cur_row,
-                s: cols[idx],
-                value: vals[idx],
-                cycle,
-            });
+            on_selected(start + ptr + pos, cycle)
         });
         scan.fnir_comparator_ops += out.comparator_ops;
         scan.value_reads += u64::from(out.selected);
@@ -151,7 +169,8 @@ pub fn scan_kernel_into(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir, s
             scan.mult_cycles += 1;
         }
         scan.cycles += 1;
-        // Feedback: jump to the n+1-st valid index, else advance by k.
+        // Feedback: jump to the n+1-st valid index, else advance by k. The
+        // jump always clears every selected lane, so positions only grow.
         ptr = match out.feedback {
             Some(fb) => ptr + fb,
             None => ptr + k,
@@ -172,40 +191,51 @@ pub fn scan_kernel_matmul(kernel: &CsrMatrix, r: IndexRange, n: usize) -> Kernel
 /// [`scan_kernel_into`] for the reuse contract).
 pub fn scan_kernel_matmul_into(kernel: &CsrMatrix, r: IndexRange, n: usize, scan: &mut KernelScan) {
     assert!(n > 0, "multiplier dimension must be non-zero");
+    let span = stream_kernel_matmul(kernel, r, n, scan);
+    let (row_ptr, cols, vals) = (kernel.row_ptr(), kernel.col_idx(), kernel.values());
+    let mut cur_row = first_row(kernel, r);
+    for idx in span.clone() {
+        while row_ptr[cur_row + 1] <= idx {
+            cur_row += 1;
+        }
+        scan.selected.push(SelectedEntry {
+            r: cur_row,
+            s: cols[idx],
+            value: vals[idx],
+            cycle: ((idx - span.start) / n) as u64,
+        });
+    }
+}
+
+/// The first kernel row inside `r` (0 when none is: nothing is selected).
+fn first_row(kernel: &CsrMatrix, r: IndexRange) -> usize {
+    r.clamp_to(kernel.rows()).map_or(0, |(r_lo, _)| r_lo)
+}
+
+/// The matmul-mode stream in closed form, shared by
+/// [`scan_kernel_matmul_into`] and the anticipator's counters-only pair
+/// path: every element of the rows inside the clamped `r` range streams,
+/// `n` per cycle, each cycle feeding the multiplier. Resets `scan`, fills
+/// its counters (its `selected` stream is left empty) and returns the
+/// streamed span of positions in the kernel's CSR arrays.
+pub(crate) fn stream_kernel_matmul(
+    kernel: &CsrMatrix,
+    r: IndexRange,
+    n: usize,
+    scan: &mut KernelScan,
+) -> Range<usize> {
     scan.reset();
     let Some((r_lo, r_hi)) = r.clamp_to(kernel.rows()) else {
-        return;
+        return 0..0;
     };
     scan.rowptr_reads = (r_hi - r_lo + 2) as u64;
-    let row_ptr = kernel.row_ptr();
-    let start = row_ptr[r_lo];
-    let end = row_ptr[r_hi + 1];
-    if start == end {
-        return;
-    }
-    let cols = &kernel.col_idx()[start..end];
-    let vals = &kernel.values()[start..end];
-    let mut cur_row = r_lo;
-    let mut ptr = 0usize;
-    while ptr < cols.len() {
-        let batch_end = (ptr + n).min(cols.len());
-        for idx in ptr..batch_end {
-            while row_ptr[cur_row + 1] - start <= idx {
-                cur_row += 1;
-            }
-            scan.selected.push(SelectedEntry {
-                r: cur_row,
-                s: cols[idx],
-                value: vals[idx],
-                cycle: scan.cycles,
-            });
-        }
-        scan.colidx_reads += (batch_end - ptr) as u64;
-        scan.value_reads += (batch_end - ptr) as u64;
-        scan.mult_cycles += 1;
-        scan.cycles += 1;
-        ptr = batch_end;
-    }
+    let span = kernel.row_ptr()[r_lo]..kernel.row_ptr()[r_hi + 1];
+    let len = span.len() as u64;
+    scan.colidx_reads = len;
+    scan.value_reads = len;
+    scan.cycles = len.div_ceil(n as u64);
+    scan.mult_cycles = scan.cycles;
+    span
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use ant_conv::dense::conv2d;
 use ant_conv::matmul::MatmulShape;
 use ant_conv::rcp::IndexRange;
 use ant_conv::ConvShape;
-use ant_core::anticipator::{AntConfig, Anticipator};
+use ant_core::anticipator::{AntConfig, AntScratch, Anticipator};
 use ant_core::range::GroupRanges;
 use ant_core::scan::scan_kernel;
 use ant_core::Fnir;
@@ -40,9 +40,54 @@ fn conv_case() -> impl Strategy<Value = ConvCase> {
         })
 }
 
+/// The shapes the simulator's pairs take: stride 1 or 2, dilation 1 or 2
+/// (the update phase of a strided layer dilates its `G_A` kernel), and an
+/// output up to two rows and columns short of the natural one (the update
+/// phase's `with_output`, which stops at the forward kernel's extent).
+fn sim_conv_case() -> impl Strategy<Value = ConvCase> {
+    (1usize..6, 1usize..6, 1usize..3, 1usize..3)
+        .prop_flat_map(|(kh, kw, stride, dilation)| {
+            let (eh, ew) = (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1);
+            (
+                Just((kh, kw, stride, dilation)),
+                eh..eh + 10,
+                ew..ew + 10,
+                0usize..3,
+                0usize..3,
+            )
+        })
+        .prop_flat_map(|((kh, kw, stride, dilation), h, w, trim_h, trim_w)| {
+            let natural = ConvShape::with_dilation(kh, kw, h, w, stride, dilation).expect("valid");
+            let out_h = natural.out_h().saturating_sub(trim_h).max(1);
+            let out_w = natural.out_w().saturating_sub(trim_w).max(1);
+            (
+                Just(
+                    ConvShape::with_output(kh, kw, h, w, stride, dilation, out_h, out_w)
+                        .expect("valid"),
+                ),
+                sparse_values(kh * kw),
+                sparse_values(h * w),
+            )
+        })
+        .prop_map(|(shape, kvals, ivals)| ConvCase {
+            shape,
+            kernel: DenseMatrix::from_vec(shape.kernel_h(), shape.kernel_w(), kvals)
+                .expect("sized"),
+            image: DenseMatrix::from_vec(shape.image_h(), shape.image_w(), ivals).expect("sized"),
+        })
+}
+
+/// ANT configurations with `k` above `n` (FNIR feedback can fire), at or
+/// below `n` (it never fires; Fig. 13 runs k = n = 4) and above 64 (the
+/// scalar FNIR lane walk), with either condition switched off.
 fn ant_config() -> impl Strategy<Value = AntConfig> {
     (1usize..8, any::<bool>(), any::<bool>()).prop_flat_map(|(n, use_r, use_s)| {
-        (n + 1..n + 20).prop_map(move |k| AntConfig { n, k, use_r, use_s })
+        prop_oneof![n + 1..n + 20, 1..n + 1, 65usize..100].prop_map(move |k| AntConfig {
+            n,
+            k,
+            use_r,
+            use_s,
+        })
     })
 }
 
@@ -192,5 +237,51 @@ proptest! {
             .unwrap();
         let reference = image.matmul(&kernel).unwrap();
         prop_assert!(run.output.approx_eq(&reference, 1e-3));
+    }
+
+    #[test]
+    fn conv_counters_equal_the_functional_run(
+        case in sim_conv_case(),
+        config in ant_config(),
+    ) {
+        let kernel = CsrMatrix::from_dense(&case.kernel);
+        let image = CsrMatrix::from_dense(&case.image);
+        let ant = Anticipator::new(config);
+        // One scratch for both paths, as a simulator worker shares it.
+        let mut scratch = AntScratch::new();
+        let functional = ant
+            .run_conv_with(&kernel, &image, &case.shape, &mut scratch, |_| {})
+            .unwrap();
+        let counters = ant
+            .run_conv_counters(&kernel, &image, &case.shape, &mut scratch)
+            .unwrap();
+        prop_assert_eq!(counters, functional, "{}", case.shape);
+    }
+
+    #[test]
+    fn matmul_counters_equal_the_functional_run(
+        h in 1usize..12,
+        w in 1usize..12,
+        s in 1usize..12,
+        seed in 0u64..1000,
+        config in ant_config(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let density = rng.gen_range(0.05..1.0);
+        let mut sparse = |rows, cols| {
+            CsrMatrix::from_dense(&DenseMatrix::from_fn(rows, cols, |_, _| {
+                if rng.gen_bool(density) { rng.gen_range(-2.0..2.0) } else { 0.0 }
+            }))
+        };
+        let (image, kernel) = (sparse(h, w), sparse(w, s));
+        let shape = MatmulShape::new(h, w, w, s).unwrap();
+        let ant = Anticipator::new(config);
+        let mut scratch = AntScratch::new();
+        let functional = ant.run_matmul_with(&image, &kernel, &shape, &mut scratch).unwrap();
+        let counters = ant
+            .run_matmul_counters(&image, &kernel, &shape, &mut scratch)
+            .unwrap();
+        prop_assert_eq!(counters, functional);
     }
 }

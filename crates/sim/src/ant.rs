@@ -6,6 +6,13 @@
 //! [`Anticipator`], and maps its counters into the common [`SimStats`] with
 //! the paper's pipeline assumptions (five-cycle start-up per matrix pair,
 //! single-cycle SRAM).
+//!
+//! A pair takes the anticipator's counters-only path
+//! ([`Anticipator::run_conv_counters`], [`Anticipator::run_matmul_counters`]):
+//! the simulator reads only counters, so the functional product is never
+//! computed. Only a conv pair with an accumulator-bank model attached runs
+//! the functional [`Anticipator::run_conv_with`], whose per-cycle output
+//! indices the bank model needs.
 
 use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
@@ -32,7 +39,8 @@ impl AntAccelerator {
     ///
     /// # Panics
     ///
-    /// Panics on invalid FNIR geometry (`k < n + 1` or zero parameters).
+    /// Panics if either FNIR parameter (`config.n`, `config.k`) is zero.
+    /// Any `k >= 1` is valid: with `k <= n` the FNIR feedback never fires.
     pub fn new(config: AntConfig) -> Self {
         Self {
             anticipator: Anticipator::new(config),
@@ -127,17 +135,19 @@ impl ConvSim for AntAccelerator {
             ant, bank_counts, ..
         } = scratch;
         let counters = match self.accum_banks {
-            Some(banks) => self
-                .anticipator
-                .run_conv_with(kernel, image, shape, ant, |cycle_outputs| {
-                    accum_conflicts += banks.conflict_cycles_with(cycle_outputs, bank_counts);
-                })
-                .expect("operands validated by caller"),
+            // The bank model needs each multiplier cycle's output indices,
+            // which only the functional convolution produces.
+            Some(banks) => {
+                self.anticipator
+                    .run_conv_with(kernel, image, shape, ant, |cycle_outputs| {
+                        accum_conflicts += banks.conflict_cycles_with(cycle_outputs, bank_counts);
+                    })
+            }
             None => self
                 .anticipator
-                .run_conv_with(kernel, image, shape, ant, |_| {})
-                .expect("operands validated by caller"),
-        };
+                .run_conv_counters(kernel, image, shape, ant),
+        }
+        .expect("operands validated by caller");
         let stats = self.map_counters(&counters, accum_conflicts);
         crate::accelerator::trace_pair(self.name(), "conv", kernel, image, &stats);
         stats
@@ -160,7 +170,7 @@ impl MatmulSim for AntAccelerator {
         }
         let counters = self
             .anticipator
-            .run_matmul_with(image, kernel, shape, &mut scratch.ant)
+            .run_matmul_counters(image, kernel, shape, &mut scratch.ant)
             .expect("operands validated by caller");
         let stats = self.map_counters(&counters, 0);
         crate::accelerator::trace_pair(self.name(), "matmul", kernel, image, &stats);

@@ -37,7 +37,9 @@ use ant_core::AntScratch;
 /// [`MatmulSim::simulate_matmul_pair_scratch`](crate::MatmulSim::simulate_matmul_pair_scratch).
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    /// Anticipator working memory (entries, range tables, scan, output).
+    /// Anticipator working memory (entries, range tables, scan, output,
+    /// the useful counter's planes). ANT's pairs take the counters-only
+    /// path, which leaves the output untouched; only a banked ANT fills it.
     pub ant: AntScratch,
     /// Prefix-sum planes for exact useful-product counting
     /// (SCNN+/DST/intersection conv paths).

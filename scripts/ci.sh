@@ -529,10 +529,11 @@ echo "== panic-site budget (non-test src/ lines with unwrap()/expect(/panic!)"
 # Robustness ratchet: the typed-error refactor drove non-test panic sites
 # down to this count; new code must not grow it. Lower the pin when you
 # remove sites; raising it needs a reviewed justification.
-# 105: +1 for the single intentional `panic!` in serve/daemon.rs that
+# The count includes the single intentional `panic!` in serve/daemon.rs that
 # injects a supervised job-worker death under seeded ANT_CHAOS — it is the
 # fault the catch_unwind supervision exists to absorb, not an error path.
-MAX_PANIC_SITES=105
+# 103: ANT's conv pair unwraps its two anticipator paths in one place.
+MAX_PANIC_SITES=103
 PANIC_SITES=0
 for f in $(find crates -path '*/src/*.rs' | sort); do
   n=$(awk '/#\[cfg\(test\)\]/{exit} /unwrap\(\)|expect\(|panic!/{n++} END{print n+0}' "$f")
