@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bench_history record  [--label fig09|fig09-warm|tiny|tiny-warm] [--repeats K] [--file PATH]
-//! bench_history compare [--file PATH] [--threshold T] [--window N]
+//! bench_history compare [--file PATH] [--threshold T] [--window N] [--label L]
 //!                       [--self] [--report PATH] [--json PATH] [REF_A REF_B]
 //! bench_history list    [--file PATH] [--json]
 //! ```
@@ -15,12 +15,14 @@
 //! `compare` gates a candidate entry against a baseline and exits non-zero
 //! on regression. Refs are ledger indices (`0` oldest, negatives from the
 //! end), git-revision prefixes, or `HEAD` (the newest entry). With no refs:
-//! the newest entry against the rolling median of the previous `--window`
-//! entries with the same label; with no earlier entry of that label to
-//! compare against, it reports so and exits zero. `--self` compares the
-//! newest entry to itself (a CI smoke: must report zero regressions).
-//! `--json PATH` additionally writes the machine-readable report
-//! (schema `ant-bench-compare/1`) for CI steps to parse.
+//! the newest entry (of `--label`, when given) against the rolling median
+//! of the previous `--window` entries with the same label, and each
+//! metric's values over those entries as its history; with no earlier
+//! entry of that label to compare against, it reports so and exits zero.
+//! `--self` compares the newest entry to itself (a CI smoke: must report
+//! zero regressions). `--json PATH` additionally writes the
+//! machine-readable report (schema `ant-bench-compare/1`) for CI steps to
+//! parse.
 //!
 //! `list` prints one line per ledger entry; `--json` emits the
 //! machine-readable listing instead (schema `ant-bench-list/1`).
@@ -156,6 +158,10 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         Ok(n) => n.max(1),
         Err(e) => return fail(&e),
     };
+    let label = match take_flag(&mut args, "--label") {
+        Ok(v) => v,
+        Err(e) => return fail(&e),
+    };
     let self_compare = take_switch(&mut args, "--self");
     let report_path = match take_flag(&mut args, "--report") {
         Ok(v) => v.map(PathBuf::from),
@@ -178,43 +184,35 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         Err(err) => return fail(&format!("cannot load {}: {err}", path.display())),
     };
 
-    let (baseline, candidate): (HistoryEntry, HistoryEntry) = if self_compare {
+    if label.is_some() && (self_compare || !args.is_empty()) {
+        return fail("--label picks the candidate only when no refs are given");
+    }
+    let report = if self_compare {
         let Some(last) = entries.last() else {
             return fail("--self needs at least one ledger entry");
         };
-        (last.clone(), last.clone())
-    } else if args.len() == 2 {
-        let a = match resolve_ref(&entries, &args[0]) {
-            Ok(e) => e.clone(),
+        history::compare(last, last, threshold)
+    } else if let [a, b] = args.as_slice() {
+        let a = match resolve_ref(&entries, a) {
+            Ok(e) => e,
             Err(e) => return fail(&e),
         };
-        let b = match resolve_ref(&entries, &args[1]) {
-            Ok(e) => e.clone(),
+        let b = match resolve_ref(&entries, b) {
+            Ok(e) => e,
             Err(e) => return fail(&e),
         };
-        (a, b)
+        history::compare(a, b, threshold)
     } else if args.is_empty() {
-        let Some(candidate) = entries.last().cloned() else {
-            println!("ledger {} is empty; nothing to compare", path.display());
-            return ExitCode::SUCCESS;
-        };
-        let prior: Vec<&HistoryEntry> = entries[..entries.len() - 1]
-            .iter()
-            .filter(|e| e.label == candidate.label)
-            .collect();
-        if !prior.is_empty() {
-            let window: Vec<&HistoryEntry> =
-                prior.iter().rev().take(window).copied().collect();
-            (history::median_of(&window), candidate)
-        } else {
-            println!("only one {} entry; nothing to compare", candidate.label);
-            return ExitCode::SUCCESS;
+        match history::compare_rolling(&entries, label.as_deref(), window, threshold) {
+            Ok(report) => report,
+            Err(reason) => {
+                println!("{}: {reason}; nothing to compare", path.display());
+                return ExitCode::SUCCESS;
+            }
         }
     } else {
         return fail("expected zero or two refs (or --self)");
     };
-
-    let report = history::compare(&baseline, &candidate, threshold);
     finish_report(&report, report_path.as_deref(), json_path.as_deref())
 }
 

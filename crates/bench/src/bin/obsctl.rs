@@ -3,9 +3,8 @@
 //! ```text
 //! obsctl trace      FILE [--name N] [--layer L] [--phase P] [--network NET]
 //!                        [--machine M] [--top K] [--json]
+//! obsctl flame      fold TRACE.jsonl
 //! obsctl flame      diff A.folded B.folded [--top K] [--json]
-//! obsctl ledger     trend [--file PATH] [--label L] [--metric SUBSTR]
-//!                         [--window N] [--threshold T] [--json]
 //! obsctl status     [PATH|URL] [--follow] [--interval-ms N]
 //! obsctl jobs       URL|FILE [--follow] [--interval-ms N]
 //! obsctl redundancy FILE [--network NET] [--machine M] [--layer L]
@@ -14,25 +13,24 @@
 //! ```
 //!
 //! Analysis only — every subcommand exits zero unless its input is
-//! unusable; regression *gating* stays with `bench_history compare`. The
-//! `--json` reports carry stable schemas (`ant-trace-stats/1`,
-//! `ant-flame-diff/1`, `ant-ledger-trend/1`, `ant-redundancy-stats/1`,
-//! `ant-cache-stats/1`); see `docs/OBSERVABILITY.md` for a walkthrough.
+//! unusable; the ledger's trends and regression *gating* are both
+//! `bench_history compare`. `flame fold` prints collapsed stacks of a span
+//! trace for `flame diff`, speedscope or inferno. The `--json` reports
+//! carry stable schemas (`ant-trace-stats/1`, `ant-flame-diff/1`,
+//! `ant-redundancy-stats/1`, `ant-cache-stats/1`); see
+//! `docs/OBSERVABILITY.md` for a walkthrough.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ant_bench::history::{self, DEFAULT_LEDGER, DEFAULT_THRESHOLD};
 use ant_bench::obsctl::{
-    cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, trend,
-    Source,
+    cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, Source,
 };
 
-const USAGE: &str = "usage: obsctl <trace|flame|ledger|status|jobs|redundancy|cache> [options]
+const USAGE: &str = "usage: obsctl <trace|flame|status|jobs|redundancy|cache> [options]
   trace      FILE [--name N] [--layer L] [--phase P] [--network NET] [--machine M] [--top K] [--json]
+  flame      fold TRACE.jsonl
   flame      diff A.folded B.folded [--top K] [--json]
-  ledger     trend [--file PATH] [--label L] [--metric SUBSTR] [--window N] [--threshold T] [--json]
   status     [PATH|URL] [--follow] [--interval-ms N]
   jobs       URL|FILE [--follow] [--interval-ms N]
   redundancy FILE [--network NET] [--machine M] [--layer L] [--phase P] [--top K] [--json]
@@ -47,7 +45,6 @@ fn main() -> ExitCode {
     let outcome = match command.as_str() {
         "trace" => cmd_trace(rest),
         "flame" => cmd_flame(rest),
-        "ledger" => cmd_ledger(rest),
         "status" => cmd_status(rest),
         "jobs" => cmd_jobs(rest),
         "redundancy" => cmd_redundancy(rest),
@@ -64,14 +61,6 @@ fn main() -> ExitCode {
             eprintln!("obsctl: {message}");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    if args.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("unexpected arguments: {args:?}"))
     }
 }
 
@@ -101,67 +90,30 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_flame(args: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Err("flame wants a subcommand (diff)".to_string());
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let mut args = match args.split_first() {
+        Some((sub, [file])) if sub == "fold" => {
+            let report = trace::analyze(&read(file)?, &trace::TraceFilter::default());
+            print!("{}", flame::fold(&report));
+            return Ok(());
+        }
+        Some((sub, rest)) if sub == "diff" => rest.to_vec(),
+        _ => return Err("flame wants `fold TRACE.jsonl` or `diff A.folded B.folded`".to_string()),
     };
-    if sub != "diff" {
-        return Err(format!("unknown flame subcommand {sub:?} (want diff)"));
-    }
-    let mut args = rest.to_vec();
     let top = take_parsed(&mut args, "--top", 30usize)?;
     let json = take_switch(&mut args, "--json");
     let [a, b] = args.as_slice() else {
         return Err(format!("flame diff wants exactly two .folded files, got {args:?}"));
     };
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .map(|text| flame::FoldedProfile::parse(&text))
-            .map_err(|e| format!("cannot read {path}: {e}"))
-    };
-    let report = flame::diff(&read(a)?, &read(b)?);
+    let report = flame::diff(
+        &flame::FoldedProfile::parse(&read(a)?),
+        &flame::FoldedProfile::parse(&read(b)?),
+    );
     if json {
         println!("{}", flame::to_json(&report, a, b));
     } else {
         print!("{}", flame::to_markdown(&report, a, b, top));
-    }
-    Ok(())
-}
-
-fn cmd_ledger(args: &[String]) -> Result<(), String> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Err("ledger wants a subcommand (trend)".to_string());
-    };
-    if sub != "trend" {
-        return Err(format!("unknown ledger subcommand {sub:?} (want trend)"));
-    }
-    let mut args = rest.to_vec();
-    let path = take_flag(&mut args, "--file")?
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_LEDGER));
-    let opts = trend::TrendOptions {
-        label: take_flag(&mut args, "--label")?,
-        metric: take_flag(&mut args, "--metric")?,
-        window: take_parsed(&mut args, "--window", 5usize)?.max(1),
-        threshold: take_parsed(&mut args, "--threshold", DEFAULT_THRESHOLD)?,
-    };
-    let json = take_switch(&mut args, "--json");
-    no_leftovers(&args)?;
-    let (entries, skipped) = history::load_lenient(&path)
-        .map_err(|e| format!("cannot load {}: {e}", path.display()))?;
-    if skipped > 0 {
-        eprintln!("obsctl: ignored {skipped} unusable line(s) in {}", path.display());
-    }
-    match trend::analyze(&entries, &opts) {
-        trend::TrendOutcome::Report(report) => {
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                print!("{}", report.to_markdown());
-            }
-        }
-        // Analysis tool, not a gate: an empty or one-entry ledger is a
-        // report ("nothing to compare"), not a failure.
-        trend::TrendOutcome::Nothing(reason) => println!("{reason}"),
     }
     Ok(())
 }

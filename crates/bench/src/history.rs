@@ -28,6 +28,11 @@
 //!   gating both double-counts one change).
 //! * `*_spread` / `*_per_sec` — informational only.
 //!
+//! [`compare_rolling`] picks what `bench_history compare` gates when no
+//! entries are named: the newest entry against the rolling median of the
+//! same-label entries before it. Its report also carries each metric's
+//! values over that window.
+//!
 //! Recording ([`record`]) reruns the fig09 workloads (or a tiny CI set)
 //! in-process with allocation counting on, taking min-of-K wall times so
 //! the ledger carries its own noise estimate.
@@ -349,7 +354,7 @@ pub enum MetricClass {
     /// Host-performance metric — gated at the larger of the threshold and
     /// the recorded noise floor.
     Noisy,
-    /// Isolated per-kernel microbenchmark timing — gated like [`Noisy`] but
+    /// Isolated per-kernel microbenchmark timing — gated like [`Noisy`](Self::Noisy) but
     /// with the tighter [`KERNEL_NOISE_FLOOR`] static floor.
     Kernel,
     /// Reported in the table but never gated.
@@ -369,6 +374,47 @@ impl MetricClass {
             MetricClass::InfoOnly => "info",
         }
     }
+}
+
+/// `bench_history compare` with no refs: the newest entry (the newest of
+/// `label`, when given) against the metric-wise median of the `window`
+/// same-label entries before it. The report's [`CompareReport::series`]
+/// holds those entries and the candidate.
+///
+/// # Errors
+///
+/// Says why there is nothing to compare: the ledger holds no such entry,
+/// or no earlier entry of its label.
+pub fn compare_rolling(
+    entries: &[HistoryEntry],
+    label: Option<&str>,
+    window: usize,
+    threshold: f64,
+) -> Result<CompareReport, String> {
+    let newest = match label {
+        Some(label) => entries.iter().rposition(|e| e.label == label),
+        None => entries.len().checked_sub(1),
+    };
+    let Some(at) = newest else {
+        return Err(match label {
+            Some(label) => format!("no {label:?} entry in the ledger"),
+            None => "the ledger is empty".to_string(),
+        });
+    };
+    let candidate = &entries[at];
+    let mut series: Vec<&HistoryEntry> = entries[..at]
+        .iter()
+        .filter(|e| e.label == candidate.label)
+        .collect();
+    if series.is_empty() {
+        return Err(format!("only one {} entry", candidate.label));
+    }
+    series.drain(..series.len().saturating_sub(window));
+    let newest_first: Vec<&HistoryEntry> = series.iter().rev().copied().collect();
+    let mut report = compare(&median_of(&newest_first), candidate, threshold);
+    series.push(candidate);
+    report.series = series.into_iter().cloned().collect();
+    Ok(report)
 }
 
 /// Classifies a metric by name (see the module docs for the rules).
@@ -424,6 +470,11 @@ pub struct CompareReport {
     /// Metrics present in exactly one of the entries (never gated — a new
     /// metric is not a regression).
     pub missing: Vec<String>,
+    /// The entries a rolling-median baseline was drawn from, then the
+    /// candidate, oldest first ([`compare_rolling`]); empty when two
+    /// entries were compared directly. A metric's values over it are its
+    /// history.
+    pub series: Vec<HistoryEntry>,
 }
 
 impl CompareReport {
@@ -448,8 +499,17 @@ impl CompareReport {
             "- threshold: {:.1}% (cycles); host metrics widen to their noise floor\n",
             self.threshold * 100.0
         );
-        let _ = writeln!(out, "| metric | class | baseline | candidate | change | status |");
-        let _ = writeln!(out, "|---|---|---:|---:|---:|---|");
+        let history = !self.series.is_empty();
+        let (history_head, history_rule) = if history {
+            (" history (old → new) |", "---|")
+        } else {
+            ("", "")
+        };
+        let _ = writeln!(
+            out,
+            "| metric | class | baseline | candidate | change | status |{history_head}"
+        );
+        let _ = writeln!(out, "|---|---|---:|---:|---:|---|{history_rule}");
         for d in &self.deltas {
             let status = if d.regressed {
                 "**REGRESSED**"
@@ -460,7 +520,7 @@ impl CompareReport {
             } else {
                 "ok"
             };
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "| {} | {} | {} | {} | {:+.1}% | {} |",
                 d.name,
@@ -470,6 +530,19 @@ impl CompareReport {
                 d.rel_change * 100.0,
                 status
             );
+            if history {
+                let values: Vec<String> = self
+                    .series
+                    .iter()
+                    .map(|e| {
+                        e.metrics
+                            .get(&d.name)
+                            .map_or("-".to_string(), |v| fmt_value(*v))
+                    })
+                    .collect();
+                let _ = write!(out, " {} |", values.join(" → "));
+            }
+            out.push('\n');
         }
         let regressed = self.regressions().len();
         let improved = self.deltas.iter().filter(|d| d.improved).count();
@@ -497,7 +570,9 @@ impl CompareReport {
     /// verdict, and one object per metric carrying the class, both values,
     /// the relative change, the gate it was held to, and its status —
     /// everything a CI step needs to gate or annotate without re-parsing
-    /// the markdown table.
+    /// the markdown table. With a [`series`](Self::series), each metric
+    /// also carries a `history` array of `{revision, timestamp_unix_ms,
+    /// value}` over it.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.deltas.len() * 160);
         out.push_str("{\"schema\":\"");
@@ -532,13 +607,37 @@ impl CompareReport {
             let num = |v: f64| if v.is_finite() { format!("{v}") } else { "null".to_string() };
             let _ = write!(
                 out,
-                ",\"class\":\"{}\",\"baseline\":{},\"candidate\":{},\"rel_change\":{},\"gate\":{},\"status\":\"{status}\"}}",
+                ",\"class\":\"{}\",\"baseline\":{},\"candidate\":{},\"rel_change\":{},\"gate\":{},\"status\":\"{status}\"",
                 d.class.name(),
                 num(d.baseline),
                 num(d.candidate),
                 num(d.rel_change),
                 num(d.gate),
             );
+            if !self.series.is_empty() {
+                out.push_str(",\"history\":[");
+                for (j, e) in self.series.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"revision\":");
+                    match &e.git_revision {
+                        Some(rev) => write_json_string(rev, &mut out),
+                        None => out.push_str("null"),
+                    }
+                    let value = e
+                        .metrics
+                        .get(&d.name)
+                        .map_or("null".to_string(), |v| num(*v));
+                    let _ = write!(
+                        out,
+                        ",\"timestamp_unix_ms\":{},\"value\":{value}}}",
+                        e.timestamp_unix_ms
+                    );
+                }
+                out.push(']');
+            }
+            out.push('}');
         }
         out.push_str("],\"missing\":[");
         for (i, name) in self.missing.iter().enumerate() {
@@ -631,6 +730,7 @@ pub fn compare(baseline: &HistoryEntry, candidate: &HistoryEntry, threshold: f64
         threshold,
         deltas,
         missing,
+        series: Vec::new(),
     }
 }
 
@@ -1102,6 +1202,121 @@ mod tests {
         let report = compare(&base, &cand, DEFAULT_THRESHOLD);
         assert!(!report.has_regressions());
         assert_eq!(report.missing, vec!["vgg16/alloc_bytes".to_string()]);
+    }
+
+    /// A fig09 series with one other label interleaved; the newest fig09
+    /// entry regresses its cycles by 19% over the 100.5 median.
+    fn ledger() -> Vec<HistoryEntry> {
+        [
+            ("fig09", "aaa1111", 100.0),
+            ("other", "bbb2222", 5.0),
+            ("fig09", "ccc3333", 101.0),
+            ("fig09", "ddd4444", 120.0),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, (label, rev, cycles))| HistoryEntry {
+            label: label.to_string(),
+            git_revision: Some(rev.to_string()),
+            timestamp_unix_ms: i as u64,
+            ..entry(&[("net/ant_cycles", *cycles)])
+        })
+        .collect()
+    }
+
+    #[test]
+    fn rolling_compare_gates_the_newest_entry_against_the_window_median() {
+        let entries = ledger();
+        let report = compare_rolling(&entries, None, 5, DEFAULT_THRESHOLD).expect("a report");
+        let window = [&entries[2], &entries[0]];
+        let expected = compare(&median_of(&window), &entries[3], DEFAULT_THRESHOLD);
+        assert_eq!(report.baseline, expected.baseline);
+        assert_eq!(report.candidate, expected.candidate);
+        assert_eq!(report.deltas.len(), 1);
+        assert_eq!(report.deltas[0].rel_change, expected.deltas[0].rel_change);
+        assert!(report.has_regressions());
+        // The series is the fig09 window plus the candidate, oldest first.
+        let revisions: Vec<_> = report.series.iter().map(|e| e.describe()).collect();
+        assert_eq!(
+            revisions,
+            ["fig09 @ aaa1111", "fig09 @ ccc3333", "fig09 @ ddd4444"]
+        );
+        // A window of one keeps only the newest earlier entry.
+        let narrow = compare_rolling(&entries, None, 1, DEFAULT_THRESHOLD).expect("a report");
+        assert_eq!(narrow.series.len(), 2);
+        assert_eq!(narrow.deltas[0].baseline, 101.0);
+    }
+
+    #[test]
+    fn rolling_compare_label_picks_that_series() {
+        let entries = ledger();
+        // The newest fig09 entry need not be the newest entry.
+        let mut later = entries.clone();
+        later.push(HistoryEntry {
+            label: "other".to_string(),
+            ..entries[1].clone()
+        });
+        let report =
+            compare_rolling(&later, Some("fig09"), 5, DEFAULT_THRESHOLD).expect("a report");
+        assert_eq!(report.candidate, "fig09 @ ddd4444");
+        assert_eq!(report.series.len(), 3);
+        // Two "other" entries: the later one against the first.
+        let other = compare_rolling(&later, None, 5, DEFAULT_THRESHOLD).expect("a report");
+        assert_eq!(other.series.len(), 2);
+        assert!(!other.has_regressions());
+    }
+
+    #[test]
+    fn rolling_compare_explains_why_there_is_nothing_to_compare() {
+        let entries = ledger();
+        let reason = |label, entries: &[HistoryEntry]| {
+            compare_rolling(entries, label, 5, DEFAULT_THRESHOLD).expect_err("nothing to compare")
+        };
+        assert_eq!(reason(None, &[]), "the ledger is empty");
+        assert_eq!(reason(Some("other"), &entries), "only one other entry");
+        assert_eq!(
+            reason(Some("tiny"), &entries),
+            "no \"tiny\" entry in the ledger"
+        );
+    }
+
+    #[test]
+    fn rolling_compare_reports_each_metrics_history() {
+        let mut entries = ledger();
+        entries[0].metrics.clear();
+        let report = compare_rolling(&entries, None, 5, DEFAULT_THRESHOLD).expect("a report");
+        let json = ant_obs::parse_json(&report.to_json()).expect("valid JSON");
+        assert_eq!(json.get("regressed").and_then(|b| b.as_bool()), Some(true));
+        let metrics = json
+            .get("metrics")
+            .and_then(|m| m.as_array())
+            .expect("metrics");
+        assert_eq!(
+            metrics[0].get("status").and_then(|s| s.as_str()),
+            Some("regressed")
+        );
+        let history = metrics[0]
+            .get("history")
+            .and_then(|h| h.as_array())
+            .expect("history");
+        let values: Vec<_> = history
+            .iter()
+            .map(|p| p.get("value").and_then(|v| v.as_f64()))
+            .collect();
+        assert_eq!(values, [None, Some(101.0), Some(120.0)]);
+        assert_eq!(
+            history[2].get("revision").and_then(|r| r.as_str()),
+            Some("ddd4444")
+        );
+        assert_eq!(
+            history[2].get("timestamp_unix_ms").and_then(|t| t.as_u64()),
+            Some(3)
+        );
+        assert!(report.to_markdown().contains("| - → 101 → 120 |"));
+        // Two entries compared directly carry no history.
+        let direct = compare(&entries[2], &entries[3], DEFAULT_THRESHOLD);
+        assert!(!direct.to_json().contains("history"));
+        assert!(!direct.to_markdown().contains("old → new"));
     }
 
     #[test]

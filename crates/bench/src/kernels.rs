@@ -379,21 +379,17 @@ fn stem_update() -> ConvShape {
         .unwrap_or_else(|_| unreachable!("valid stem shape"))
 }
 
-/// Seeded kernel and image operands for a `useful_count_*` bench.
+/// Seeded kernel and image operands for a `useful_count_*` bench. Each
+/// plane keeps at least one non-zero: at 99% the 7x7 stem kernel rounds
+/// to none, and an empty operand times an early return.
 fn stem_operands(kernel_name: &str, shape: &ConvShape, sparsity: f64) -> (CsrMatrix, CsrMatrix) {
     let mut rng = StdRng::seed_from_u64(seed_for(kernel_name, sparsity));
-    let kernel = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
-        shape.kernel_h(),
-        shape.kernel_w(),
-        sparsity,
-        &mut rng,
-    ));
-    let image = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
-        shape.image_h(),
-        shape.image_w(),
-        sparsity,
-        &mut rng,
-    ));
+    let mut plane = |rows: usize, cols: usize| {
+        let nnz = ((1.0 - sparsity) * (rows * cols) as f64).round() as usize;
+        CsrMatrix::from_dense(&sparsify::random_with_nnz(rows, cols, nnz.max(1), &mut rng))
+    };
+    let kernel = plane(shape.kernel_h(), shape.kernel_w());
+    let image = plane(shape.image_h(), shape.image_w());
     (kernel, image)
 }
 
@@ -493,6 +489,23 @@ mod tests {
                 path,
                 "{kernel_name}"
             );
+        }
+    }
+
+    #[test]
+    fn stem_benches_time_non_empty_operands_at_every_point() {
+        for &sparsity in Grid::Full.sparsities() {
+            for (bench, operands, shape) in [
+                ("useful_count_fwd", "useful_count_fwd", stem_forward()),
+                ("useful_count_upd", "useful_count_upd", stem_update()),
+                ("ant_pair_fwd", "useful_count_fwd", stem_forward()),
+                ("ant_pair_upd", "useful_count_upd", stem_update()),
+            ] {
+                let (kernel, image) = stem_operands(operands, &shape, sparsity);
+                let case = case_label(sparsity);
+                assert!(kernel.nnz() > 0, "{bench}/{case} times an empty kernel");
+                assert!(image.nnz() > 0, "{bench}/{case} times an empty image");
+            }
         }
     }
 

@@ -22,7 +22,8 @@
 //!   with its IO-fault policy.
 //! * [`history`] — the bench-history ledger (`BENCH_history.jsonl`):
 //!   append-only benchmark runs keyed by git revision, with trend-aware
-//!   regression comparison (`bench_history` binary).
+//!   regression comparison that also reports each metric's recent values
+//!   (`bench_history` binary).
 //! * [`kernels`] — the per-kernel microbenchmark harness (`microbench`
 //!   binary): hot kernels timed in isolation over the sparsity grid,
 //!   recorded as `kernel/...` ledger metrics with their own regression
@@ -31,8 +32,9 @@
 //!   tracks (host time) and the manifest `host`-section worker
 //!   utilization table, fed by the runner's `ANT_TELEMETRY` counters.
 //! * [`obsctl`] — the unified offline analysis CLI (`obsctl` binary) over
-//!   the observability sidecars: trace JSONL aggregation, folded-flamegraph
-//!   diffing, bench-history trend reports, and live status pretty-printing.
+//!   the observability sidecars: trace JSONL aggregation, collapsed-stack
+//!   flamegraphs folded from a trace and diffed, and live status
+//!   pretty-printing.
 //! * [`serve`] — `ant-sweepd` (`sweepd` binary): a fault-tolerant
 //!   multi-tenant sweep service over the runner, with weighted-fair
 //!   queueing, supervised retry/backoff, job deadlines, and crash recovery

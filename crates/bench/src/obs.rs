@@ -121,36 +121,22 @@ impl Experiment {
             Ok(path) => println!("\ncsv: {}", path.display()),
             Err(err) => eprintln!("output write failed: {err}"),
         }
-        finalize(name, manifest, span);
+        finalize(manifest, span);
     }
 
     /// Finishes a run that produced no table (microbenchmark-style
     /// binaries): writes only the manifest.
     pub fn finish_without_table(self) {
-        let Experiment {
-            name,
-            manifest,
-            span,
-        } = self;
-        finalize(name, manifest, span);
+        finalize(self.manifest, self.span);
     }
 }
 
 /// Shared tail of every experiment: close the root span *first* (so its
-/// wall time folds into the flame table), write the collapsed-stack
-/// flamegraph when `ANT_FLAME` is on, fold host stats (allocator counters,
-/// runner wall/throughput metrics) into the manifest, write it, and flush
-/// the trace.
-fn finalize(name: &'static str, mut manifest: RunManifest, span: Span) {
+/// record precedes the flush), fold host stats (allocator counters, runner
+/// wall/throughput metrics) into the manifest, write it, and flush the
+/// trace.
+fn finalize(mut manifest: RunManifest, span: Span) {
     span.close();
-    match ant_obs::flame::write_if_enabled(name) {
-        Ok(Some(path)) => {
-            manifest.output(path.display().to_string());
-            println!("flamegraph: {}", path.display());
-        }
-        Ok(None) => {}
-        Err(err) => eprintln!("flamegraph write failed: {err}"),
-    }
     manifest.record_alloc_stats();
     for (key, value) in ant_obs::registry().snapshot() {
         if key.starts_with("runner.") {

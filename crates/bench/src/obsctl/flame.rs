@@ -1,21 +1,64 @@
-//! `obsctl flame diff`: self/total-time deltas between two collapsed-stack
-//! flamegraph files.
+//! `obsctl flame`: collapsed-stack flamegraphs of a span trace, and
+//! self/total-time deltas between two of them.
 //!
-//! Input is the folded format `crates/obs/src/flame.rs` writes — one line
-//! per call path, frames joined by `;`, the trailing integer the path's
-//! *self* time in microseconds. A path's *total* time is its self time plus
-//! the self time of every descendant path (any path it prefixes at a frame
-//! boundary). The diff reports both deltas per path over the union of the
-//! two files, sorted by absolute self-time delta, so "where did the time
-//! move" is one command instead of two flamegraph renders and eyeballing.
+//! The folded format is one line per call path, frames joined by `;`, the
+//! trailing integer the path's *self* time in microseconds — the input of
+//! `inferno-flamegraph` and <https://speedscope.app>:
+//!
+//! ```text
+//! experiment;network;layer;phase 48713
+//! experiment;network;layer 1204
+//! ```
+//!
+//! [`fold`] writes it from the per-path totals of an `ANT_TRACE` trace
+//! ([`super::trace::analyze`]) and [`FoldedProfile::parse`] reads it back.
+//! A path's *total* time is its self time plus the self time of every
+//! descendant path (any path it prefixes at a frame boundary). [`diff`]
+//! reports both deltas per path over the union of two profiles, sorted by
+//! absolute self-time delta, so "where did the time move" is one command
+//! instead of two flamegraph renders and eyeballing.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use ant_obs::json::write_json_string;
 
+use super::trace::TraceReport;
+
 /// Schema tag of the machine-readable report (`--json`).
 pub const SCHEMA: &str = "ant-flame-diff/1";
+
+/// Renders a span trace's per-path totals as collapsed stacks: one line
+/// per span path with positive self time (its total minus its direct
+/// children's totals, clamped at zero), ordered by span path. Frames swap
+/// `;` and whitespace for `_`, so the folded grammar (frames `;`-separated,
+/// weight after the last space) survives arbitrary span names.
+pub fn fold(trace: &TraceReport) -> String {
+    let totals: BTreeMap<&str, f64> = trace
+        .spans
+        .iter()
+        .map(|s| (s.path.as_str(), s.total_us))
+        .collect();
+    let mut child_us: BTreeMap<&str, f64> = BTreeMap::new();
+    for (path, total) in &totals {
+        if let Some((parent, _)) = path.rsplit_once('/') {
+            *child_us.entry(parent).or_default() += total;
+        }
+    }
+    let mut out = String::new();
+    for (path, total) in totals {
+        let self_us = (total - child_us.get(path).copied().unwrap_or(0.0)).max(0.0) as u64;
+        if self_us == 0 {
+            continue;
+        }
+        let frames: Vec<String> = path
+            .split('/')
+            .map(|frame| frame.replace(|c: char| c == ';' || c.is_whitespace(), "_"))
+            .collect();
+        let _ = writeln!(out, "{} {self_us}", frames.join(";"));
+    }
+    out
+}
 
 /// A parsed folded file: path → self microseconds. Duplicate paths sum
 /// (the folded grammar allows repeats); malformed lines are counted, not
@@ -43,7 +86,8 @@ impl FoldedProfile {
                 .filter(|(path, _)| !path.is_empty());
             match parsed {
                 Some((path, us)) => {
-                    *profile.self_us.entry(path.to_string()).or_insert(0) += us;
+                    let self_us = profile.self_us.entry(path.to_string()).or_insert(0);
+                    *self_us = self_us.saturating_add(us);
                 }
                 None => profile.lines_skipped += 1,
             }
@@ -200,7 +244,107 @@ pub fn to_json(report: &FlameDiff, label_a: &str, label_b: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer_log::tests::mutant;
+    use crate::obsctl::trace::{analyze, TraceFilter};
     use ant_obs::json::Json;
+
+    /// One `ANT_TRACE` span record per `(path, dur_us)`.
+    fn trace(spans: &[(&str, u64)]) -> TraceReport {
+        let text: String = spans
+            .iter()
+            .map(|(path, dur_us)| {
+                let name = path.rsplit('/').next().unwrap_or(path);
+                format!("{{\"kind\":\"span\",\"name\":\"{name}\",\"path\":\"{path}\",\"dur_us\":{dur_us}}}\n")
+            })
+            .collect();
+        analyze(&text, &TraceFilter::default())
+    }
+
+    #[test]
+    fn fold_subtracts_direct_children_from_self_time() {
+        let folded = fold(&trace(&[
+            ("root", 100),
+            ("root/child", 30),
+            ("root/child", 20),
+            ("root/child/leaf", 10),
+        ]));
+        assert_eq!(folded, "root 50\nroot;child 40\nroot;child;leaf 10\n");
+        // Parsing the stacks back rolls self time up to the trace totals.
+        let totals = FoldedProfile::parse(&folded).total_us();
+        assert_eq!(totals["root"], 100);
+        assert_eq!(totals["root;child"], 50);
+    }
+
+    #[test]
+    fn fold_clamps_child_overshoot_and_omits_zero_self_paths() {
+        // Child clocks can jitter past the parent's by a microsecond.
+        assert_eq!(
+            fold(&trace(&[("root", 10), ("root/child", 11)])),
+            "root;child 11\n"
+        );
+        assert_eq!(
+            fold(&trace(&[("root", 10), ("root/child", 10)])),
+            "root;child 10\n"
+        );
+    }
+
+    #[test]
+    fn fold_escapes_frames_and_orders_lines_by_span_path() {
+        let folded = fold(&trace(&[("exp", 100), ("exp/net work;x", 40), ("exp0", 5)]));
+        // `/` sorts before `0`, so the child precedes `exp0`; sorting the
+        // `;`-joined stacks would put it last.
+        assert_eq!(folded, "exp 60\nexp;net_work_x 40\nexp0 5\n");
+    }
+
+    /// Parsed folded text re-renders to text that parses to the same
+    /// paths and weights.
+    fn assert_re_renders(profile: &FoldedProfile, what: &str) {
+        let rendered: String = profile
+            .self_us
+            .iter()
+            .map(|(path, us)| format!("{path} {us}\n"))
+            .collect();
+        assert_eq!(
+            FoldedProfile::parse(&rendered).self_us,
+            profile.self_us,
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn mutated_folded_text_parses_and_re_renders() {
+        let folded = fold(&trace(&[
+            ("experiment", 5_000),
+            ("experiment/network", 20_000),
+            ("experiment/network/layer", 9_000),
+            ("experiment/network/layer/phase", 120),
+        ]));
+        let mut accepted = 0;
+        for case in 0..2_000 {
+            let mutant = mutant(&folded, 0xF01D, case);
+            let profile = FoldedProfile::parse(&mutant);
+            accepted += usize::from(!profile.self_us.is_empty());
+            assert_re_renders(&profile, &format!("case {case}: {mutant:?}"));
+        }
+        assert!(accepted > 0, "no mutant was accepted");
+    }
+
+    /// A span record as `ANT_TRACE=1 fig09_speedup_energy` writes it.
+    const TRACE_LINE: &str = r#"{"kind":"span","name":"layer","ts_us":23398,"dur_us":46,"span":365,"parent":2,"path":"experiment/network/layer","fields":{"layer":"conv0","layer_index":0,"network":"DenseNet-121/CIFAR","machine":"SCNN+","channel_scale":16}}"#;
+
+    #[test]
+    fn mutated_trace_lines_fold_and_re_render() {
+        let fold_text = |text: &str| fold(&analyze(text, &TraceFilter::default()));
+        assert_eq!(fold_text(TRACE_LINE), "experiment;network;layer 46\n");
+        let mut accepted = 0;
+        for case in 0..2_000 {
+            let mutant = mutant(TRACE_LINE, 0x7ACE, case);
+            let profile = FoldedProfile::parse(&fold_text(&mutant));
+            accepted += usize::from(!profile.self_us.is_empty());
+            assert_re_renders(&profile, &format!("case {case}: {mutant}"));
+        }
+        assert!(accepted > 0, "no mutant was accepted");
+    }
 
     const A: &str = "exp;net;layer;phase 100\nexp;net;layer 50\nexp;gone 10\n";
     const B: &str = "exp;net;layer;phase 300\nexp;net;layer 50\nexp;new 20\nbad line here\n";

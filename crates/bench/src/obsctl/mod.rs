@@ -1,20 +1,20 @@
 //! `obsctl`: unified offline analysis over the observability artifacts.
 //!
-//! The stack writes seven sidecar formats — span traces (JSONL), collapsed
-//! flamegraph stacks (`.folded`), Perfetto timelines, the bench-history
-//! ledger (`BENCH_history.jsonl`), the live `ant-status/1` file, the
-//! per-(layer, phase, machine) `ant-redundancy/1` RCP-attribution ledger,
-//! and the `ant-manifest/1` run manifest (whose `host` section carries the
-//! simulation-cache table `obsctl cache` reads).
-//! Each had its own ad-hoc consumer; this module is the one query tool over
-//! all of them, exposed by the `obsctl` binary:
+//! The stack writes six sidecar formats — span traces (JSONL), Perfetto
+//! timelines, the bench-history ledger (`BENCH_history.jsonl`), the live
+//! `ant-status/1` file, the per-(layer, phase, machine) `ant-redundancy/1`
+//! RCP-attribution ledger, and the `ant-manifest/1` run manifest (whose
+//! `host` section carries the simulation-cache table `obsctl cache` reads).
+//! Collapsed flamegraph stacks (`.folded`) are a view of the span trace:
+//! `obsctl flame fold` writes them and `obsctl flame diff` reads them.
+//! Each sidecar had its own ad-hoc consumer; this module is the one query
+//! tool over all of them, exposed by the `obsctl` binary:
 //!
 //! ```text
 //! obsctl trace      FILE [--name N] [--layer L] [--phase P] [--network NET]
 //!                        [--machine M] [--top K] [--json]
+//! obsctl flame      fold TRACE.jsonl
 //! obsctl flame      diff A.folded B.folded [--top K] [--json]
-//! obsctl ledger     trend [--file PATH] [--label L] [--metric SUBSTR]
-//!                         [--window N] [--threshold T] [--json]
 //! obsctl status     [PATH|URL] [--follow] [--interval-ms N]
 //! obsctl jobs       URL|FILE [--follow] [--interval-ms N]
 //! obsctl redundancy FILE [--network NET] [--machine M] [--layer L]
@@ -24,10 +24,8 @@
 //!
 //! Every subcommand is an *analysis* tool: it renders a report (markdown
 //! table or a stable JSON schema under `--json`) and exits zero unless the
-//! input itself is unusable. Gating stays with `bench_history compare`;
-//! `obsctl ledger trend` reuses the exact same comparison
-//! ([`crate::history::compare`]), so its per-metric verdicts always match
-//! the gate's.
+//! input itself is unusable. The ledger's trends and gate are both
+//! `bench_history compare` ([`crate::history::compare_rolling`]).
 
 pub mod cache;
 pub mod flame;
@@ -35,7 +33,6 @@ pub mod jobs;
 pub mod redundancy;
 pub mod status;
 pub mod trace;
-pub mod trend;
 
 /// Where one `obsctl status` or `obsctl jobs` read comes from.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,7 @@
 //! The redundancy observatory's ledger: per-(layer, phase, machine) RCP
 //! attribution rows and the `ant-redundancy/1` JSONL sidecar.
 //!
-//! The runner already finalizes every layer's per-phase [`SimStats`]
+//! The runner already finalizes every layer's per-phase [`SimStats`](ant_sim::SimStats)
 //! (see [`crate::runner::LayerStats::phases`]); the ledger derives one
 //! [`RedundancyRow`] per (layer, phase) from them — counters via
 //! [`ant_sim::RedundancyRecord`], the analytic paper-Eq. 6 efficiency from

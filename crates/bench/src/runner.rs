@@ -180,7 +180,7 @@ impl FailureReport {
 /// layers' finalized (scaled) per-phase stats are recorded as the run
 /// progresses, and a resumed run skips synthesis and simulation for layers
 /// the store already holds. Implemented by
-/// [`crate::checkpoint::Checkpoint`]; tests use in-memory impls.
+/// [`crate::checkpoint::RunCheckpoint`]; tests use in-memory impls.
 pub trait LayerCheckpoint {
     /// The scaled per-phase stats (`[forward, backward, update]`) a previous
     /// run recorded for this layer, or `None` to simulate it afresh.
@@ -339,7 +339,7 @@ pub struct LayerStats {
     pub stats: SimStats,
     /// Finalized (scaled) counters of each training phase, in
     /// `[Forward, Backward, Update]` order. `stats` is exactly their sum;
-    /// both runners produce them through the shared [`finalize_phase`]
+    /// both runners produce them through the shared `finalize_phase`
     /// accounting, so serial and parallel runs stay bit-identical. The
     /// redundancy observatory attributes per-(layer, phase) rows from
     /// these.

@@ -67,6 +67,25 @@ fn progress_reporter_writes_final_status_file() {
     // runs, and this run started fresh.
     assert!(json.get("git_revision").is_some(), "git_revision key present");
     assert!(json.get("resumed_from").is_none(), "fresh run has no resumed_from");
+    // Keys after `schema` are sorted, for stable diffs.
+    let mut in_text: Vec<(usize, &str)> = json
+        .as_object()
+        .expect("status file is an object")
+        .keys()
+        .map(|k| {
+            (
+                body.find(&format!("\"{k}\":")).expect("key in the text"),
+                k.as_str(),
+            )
+        })
+        .collect();
+    in_text.sort_unstable();
+    let keys: Vec<&str> = in_text.into_iter().map(|(_, k)| k).collect();
+    assert_eq!(keys[0], "schema", "{keys:?}");
+    assert!(
+        keys[1..].is_sorted(),
+        "status keys after schema must be sorted: {keys:?}"
+    );
     // No torn-write temp file is left behind.
     assert!(!dir.join("status.json.tmp").exists());
 

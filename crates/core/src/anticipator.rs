@@ -290,7 +290,7 @@ impl Anticipator {
     ///
     /// # Errors
     ///
-    /// Returns [`AntError::InvalidConfig`] when either FNIR parameter
+    /// Returns [`crate::AntError::InvalidConfig`] when either FNIR parameter
     /// (`config.n`, `config.k`) is zero.
     pub fn try_new(config: AntConfig) -> Result<Self, crate::AntError> {
         let fnir = Fnir::new(config.n, config.k).map_err(|e| {

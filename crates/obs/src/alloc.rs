@@ -20,7 +20,7 @@
 //!
 //! While tracing (`ANT_TRACE`) and counting are both on, every span record
 //! additionally carries the allocation delta across its lifetime (`allocs`,
-//! `alloc_bytes`, `alloc_net_bytes` fields; see [`crate::span`]).
+//! `alloc_bytes`, `alloc_net_bytes` fields; see [`crate::span()`]).
 //!
 //! Counters are process-global: [`snapshot`] reads them all at once and
 //! [`AllocStats::delta_from`] turns two snapshots into a per-region delta.

@@ -6,7 +6,7 @@
 //! the stack needs, with no external dependencies (the build environment has
 //! no crates.io access):
 //!
-//! * **Spans and events** ([`span`], [`event`]) — hierarchical timed
+//! * **Spans and events** ([`span()`], [`event`]) — hierarchical timed
 //!   regions written as JSONL records to an env-gated sink. Enable with
 //!   `ANT_TRACE=1`; choose the destination with `ANT_TRACE_FILE` (default
 //!   `target/experiments/trace.jsonl`); add hot per-channel-pair detail with
@@ -25,9 +25,6 @@
 //!   counting global allocator (`ANT_ALLOC=1`): allocation count, bytes,
 //!   live, and peak, with per-span deltas attached to span records. One
 //!   relaxed atomic load per allocation when disabled.
-//! * **Flamegraphs** ([`flame`]) — span-tree rollup of self/total wall
-//!   time per span path, exported as collapsed stacks
-//!   (inferno/speedscope-compatible) under `ANT_FLAME` / `ANT_FLAME_FILE`.
 //! * **Metrics exporter** ([`export`]) — an embedded std-only HTTP server
 //!   (`ANT_METRICS_ADDR=host:port`) serving `GET /metrics` (Prometheus text
 //!   exposition of the process registry), `GET /status` (live `ant-status/1`
@@ -43,7 +40,6 @@
 
 pub mod alloc;
 pub mod export;
-pub mod flame;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
@@ -54,7 +50,6 @@ pub mod trace;
 
 pub use alloc::{AllocDelta, AllocStats, CountingAlloc};
 pub use export::{render_prometheus, sanitize_metric_name};
-pub use flame::SpanStat;
 pub use json::{parse as parse_json, Json, Value};
 pub use manifest::{git_revision, RunManifest};
 pub use metrics::{registry, Counter, Gauge, Histogram, InstrumentSnapshot, Registry};

@@ -20,7 +20,6 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::alloc::{self, AllocStats};
-use crate::flame;
 use crate::json::Value;
 use crate::trace::{self, Event};
 
@@ -50,22 +49,16 @@ struct SpanState {
     entered_us: u64,
     entered: Instant,
     fields: Vec<(&'static str, Value)>,
-    /// Allocator counters at entry, when both tracing and allocation
-    /// counting are on; the drop attaches the delta to the record.
+    /// Allocator counters at entry, when allocation counting is on; the
+    /// drop attaches the delta to the record.
     alloc_entry: Option<AllocStats>,
-    /// Whether the closing span should fold into the flame table.
-    tracing: bool,
 }
 
 /// Opens a span named `name`. The span becomes the parent of any span opened
-/// on this thread before it closes.
-///
-/// Spans are live when tracing (`ANT_TRACE`) *or* flame collection
-/// (`ANT_FLAME`) is on; with only the latter, the span is timed and folded
-/// into the flamegraph but no trace record is written.
+/// on this thread before it closes. Spans are live only while tracing
+/// (`ANT_TRACE`) is on.
 pub fn span(name: impl Into<String>) -> Span {
-    let tracing = trace::enabled();
-    if !tracing && !flame::enabled() {
+    if !trace::enabled() {
         return Span { state: None };
     }
     let name = name.into();
@@ -91,19 +84,14 @@ pub fn span(name: impl Into<String>) -> Span {
             entered_us: trace::now_us(),
             entered: Instant::now(),
             fields: Vec::new(),
-            alloc_entry: if tracing && alloc::enabled() {
-                Some(alloc::snapshot())
-            } else {
-                None
-            },
-            tracing,
+            alloc_entry: alloc::enabled().then(alloc::snapshot),
         }),
     }
 }
 
 impl Span {
-    /// Whether this span is live — tracing or flame collection was enabled
-    /// at creation. Use to skip expensive field computation.
+    /// Whether this span is live — tracing was enabled at creation. Use to
+    /// skip expensive field computation.
     pub fn is_recording(&self) -> bool {
         self.state.is_some()
     }
@@ -146,12 +134,6 @@ impl Drop for Span {
                 stack.remove(pos);
             }
         });
-        if flame::enabled() {
-            flame::record(&state.path, dur_us);
-        }
-        if !state.tracing {
-            return;
-        }
         if let Some(entry) = state.alloc_entry.take() {
             let delta = alloc::snapshot().delta_from(&entry);
             state.fields.push(("allocs", Value::U64(delta.allocs)));

@@ -382,50 +382,6 @@ fn span_records_alloc_delta_fields_when_counting_enabled() {
 }
 
 #[test]
-fn flame_aggregates_span_tree_into_collapsed_stacks() {
-    let _guard = sink_guard().lock().unwrap_or_else(|e| e.into_inner());
-    ant_obs::flame::reset();
-    ant_obs::flame::set_enabled(true);
-    {
-        let _outer = ant_obs::span("flame_outer");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        {
-            let _inner = ant_obs::span("flame_inner");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-    }
-    ant_obs::flame::set_enabled(false);
-    let collapsed = ant_obs::flame::to_collapsed();
-    ant_obs::flame::reset();
-    // Collapsed-stack grammar: "frame;frame <self_us>" per line, child
-    // frames joined with ';'.
-    assert!(
-        collapsed.contains("flame_outer;flame_inner "),
-        "missing nested stack in:\n{collapsed}"
-    );
-    for line in collapsed.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("stack<space>count");
-        assert!(!stack.is_empty());
-        count.parse::<u64>().expect("count is an integer");
-    }
-}
-
-#[test]
-fn flame_write_collapsed_creates_parent_directories() {
-    let _guard = sink_guard().lock().unwrap_or_else(|e| e.into_inner());
-    ant_obs::flame::reset();
-    ant_obs::flame::record("solo", 10);
-    let dir = std::env::temp_dir().join(format!("ant_obs_flame_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.join("nested/deeper/out.folded");
-    ant_obs::flame::write_collapsed(&path).expect("write with parents");
-    let body = std::fs::read_to_string(&path).expect("read back");
-    assert!(body.starts_with("solo 10"));
-    ant_obs::flame::reset();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn file_sink_creates_nested_parent_directories() {
     // ANT_TRACE_FILE pointing into a directory that does not exist yet must
     // not panic: the sink creates the parents.

@@ -12,6 +12,9 @@ cargo test -q
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== benchmark build + tests (perfbench/, against this tree's crates)"
 # perfbench is its own package with path dependencies on crates/*, so a
 # harness change that breaks an import it relies on fails here, not in the
@@ -45,26 +48,6 @@ assert counters > 0, "telemetry on but no deque-depth counter events"
 print(f"profile smoke: {len(events)} trace events ok ({counters} counters)")
 PY
 
-echo "== flamegraph smoke (collapsed-stack grammar under ANT_FLAME)"
-FLAME_OUT="target/experiments/ci_flame_smoke.folded"
-rm -f "$FLAME_OUT"
-ANT_FLAME=1 ANT_FLAME_FILE="$FLAME_OUT" \
-  cargo run --release -p ant-bench --bin profile -- tiny >/dev/null
-python3 - "$FLAME_OUT" <<'PY'
-import sys
-
-lines = open(sys.argv[1]).read().splitlines()
-assert lines, "empty collapsed-stack output"
-for line in lines:
-    stack, _, count = line.rpartition(" ")
-    assert stack, f"no stack in {line!r}"
-    assert count.isdigit(), f"non-integer self time in {line!r}"
-    for frame in stack.split(";"):
-        assert frame and ";" not in frame and " " not in frame, f"bad frame in {line!r}"
-assert any(";" in line.rpartition(" ")[0] for line in lines), "no nested stacks"
-print(f"flame smoke: {len(lines)} collapsed stacks ok")
-PY
-
 echo "== bench_history smoke (tiny record + self-compare must be clean)"
 HISTORY_SMOKE="target/experiments/ci_bench_history_smoke.jsonl"
 rm -f "$HISTORY_SMOKE"
@@ -95,33 +78,6 @@ for m in kernel:
     assert m["name"].startswith("kernel/") and m["name"].endswith("/ns_per_op"), m
     assert m["gate"] >= 0.25, f"kernel gate below the static floor: {m}"
 print(f"microbench smoke: {len(kernel)} kernel metrics gated ok")
-PY
-
-echo "== progress status-file schema (ANT_PROGRESS sidecar must parse and finish done)"
-STATUS_JSON="target/experiments/ci_progress_status.json"
-rm -f "$STATUS_JSON"
-ANT_PROGRESS=1 ANT_PROGRESS_FILE="$STATUS_JSON" \
-  cargo run --release -q -p ant-bench --bin profile -- tiny >/dev/null 2>&1
-python3 - "$STATUS_JSON" <<'PY'
-import json, sys
-
-status = json.load(open(sys.argv[1]))
-assert status["schema"] == "ant-status/1", status["schema"]
-assert status["state"] == "done", status["state"]
-required = {
-    "elapsed_s", "eta_s", "git_revision", "layers_done", "layers_total",
-    "machine", "name", "network", "pairs_done", "pairs_per_sec",
-    "pairs_total", "quarantined", "retries", "state", "threads",
-    "updated_at_unix_ms", "watchdog_slow",
-}
-missing = required - set(status)
-assert not missing, f"status file missing keys: {sorted(missing)}"
-assert status["pairs_done"] == status["pairs_total"], status
-assert status["layers_done"] == status["layers_total"], status
-keys = [k for k in status if k != "schema"]
-assert keys == sorted(keys), "status keys must be sorted for stable diffs"
-print(f"progress status: schema ok ({status['pairs_done']} pairs, "
-      f"state {status['state']!r})")
 PY
 
 echo "== bench_history gate (HEAD tiny vs rolling median of the committed ledger)"
@@ -235,7 +191,7 @@ PY
 kill "$EXPORTER_PID" 2>/dev/null || true
 wait "$EXPORTER_PID" 2>/dev/null || true
 
-echo "== obsctl smoke (trace stats, flame diff fixtures, ledger trend == compare verdicts)"
+echo "== obsctl smoke (trace stats, flame diff fixtures, ledger listing)"
 OBSCTL=./target/release/obsctl
 "$OBSCTL" trace "$OBSCTL_TRACE" --json > target/experiments/ci_obsctl_trace.json
 FLAME_A="target/experiments/ci_flame_a.folded"
@@ -243,13 +199,6 @@ FLAME_B="target/experiments/ci_flame_b.folded"
 printf 'exp;net;layer 100\nexp;net;layer;phase 40\nexp;gone 10\n' > "$FLAME_A"
 printf 'exp;net;layer 150\nexp;net;layer;phase 40\nexp;new 5\n' > "$FLAME_B"
 "$OBSCTL" flame diff "$FLAME_A" "$FLAME_B" --json > target/experiments/ci_obsctl_flame.json
-# Trend must reproduce compare's per-metric verdicts over the same ledger
-# (the gate stage above already proved this compare is clean).
-cargo run --release -q -p ant-bench --bin bench_history -- \
-  compare --file "$HISTORY_GATE" \
-  --report target/experiments/ci_obsctl_compare.md \
-  --json target/experiments/ci_obsctl_compare.json
-"$OBSCTL" ledger trend --file "$HISTORY_GATE" --json > target/experiments/ci_obsctl_trend.json
 cargo run --release -q -p ant-bench --bin bench_history -- \
   list --file "$HISTORY_GATE" --json > target/experiments/ci_obsctl_list.json
 python3 - <<'PY'
@@ -267,23 +216,10 @@ assert deltas["exp;net;layer"]["self_delta_us"] == 50, deltas
 assert deltas["exp"]["total_delta_us"] == 45, deltas
 assert deltas["exp;gone"]["self_delta_us"] == -10, deltas
 
-cmp_doc = json.load(open("target/experiments/ci_obsctl_compare.json"))
-trend = json.load(open("target/experiments/ci_obsctl_trend.json"))
-assert trend["schema"] == "ant-ledger-trend/1", trend["schema"]
-cmp_status = {m["name"]: m["status"] for m in cmp_doc["metrics"]}
-trend_status = {m["name"]: m["status"] for m in trend["metrics"]}
-assert cmp_status == trend_status, (cmp_status, trend_status)
-assert trend["regressed"] == cmp_doc["regressed"]
-assert sorted(trend["missing"]) == sorted(cmp_doc["missing"])
-for m in trend["metrics"]:
-    assert m["history"], f"metric {m['name']} has no trend history"
-    assert m["history"][-1]["value"] == m["candidate"], m["name"]
-
 listing = json.load(open("target/experiments/ci_obsctl_list.json"))
 assert listing["schema"] == "ant-bench-list/1", listing["schema"]
 assert listing["entries"] == len(listing["runs"]) > 0, listing["entries"]
 print(f"obsctl: {len(trace['spans'])} trace paths, "
-      f"{len(trend_status)} trend verdicts == compare, "
       f"{listing['entries']} ledger entries listed")
 PY
 
@@ -533,7 +469,8 @@ echo "== panic-site budget (non-test src/ lines with unwrap()/expect(/panic!)"
 # injects a supervised job-worker death under seeded ANT_CHAOS — it is the
 # fault the catch_unwind supervision exists to absorb, not an error path.
 # 103: ANT's conv pair unwraps its two anticipator paths in one place.
-MAX_PANIC_SITES=103
+# 99: the process-wide flame table and its four lock unwraps are gone.
+MAX_PANIC_SITES=99
 PANIC_SITES=0
 for f in $(find crates -path '*/src/*.rs' | sort); do
   n=$(awk '/#\[cfg\(test\)\]/{exit} /unwrap\(\)|expect\(|panic!/{n++} END{print n+0}' "$f")

@@ -2,9 +2,10 @@
 # Regenerates every table/figure of the paper plus the extra ablations.
 # CSV/JSONL output and run manifests land in target/experiments/; at the
 # end, manifests (and any observability sidecars the sweep produced:
-# traces under ANT_TRACE, collapsed stacks under ANT_FLAME, Perfetto
-# timelines under ANT_PROFILE) are collected into results/ as the sweep's
-# durable record — ready for `obsctl trace` / `obsctl flame diff`.
+# traces under ANT_TRACE, each also folded into <bin>.folded collapsed
+# stacks by `obsctl flame fold`, and Perfetto timelines under ANT_PROFILE)
+# are collected into results/ as the sweep's durable record — ready for
+# `obsctl trace` / `obsctl flame diff`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,12 +61,14 @@ cp -f "$EXPDIR"/*.manifest.json results/ 2>/dev/null || true
 if [[ -n "${ANT_TRACE:-}" ]]; then
   cp -f "$EXPDIR"/trace-*.jsonl results/ 2>/dev/null || true
   [[ -n "$USER_TRACE_FILE" && -f "$USER_TRACE_FILE" ]] && cp -f "$USER_TRACE_FILE" results/
+  for trace in results/trace-*.jsonl; do
+    [[ -f "$trace" ]] || continue
+    bin="${trace#results/trace-}"
+    ./target/release/obsctl flame fold "$trace" > "results/${bin%.jsonl}.folded"
+  done
 fi
-# Flame and timeline sidecars default to per-binary stems
-# (<bin>.folded / <bin>.perfetto.json), so a plain glob collects the sweep.
-if [[ -n "${ANT_FLAME:-}" ]]; then
-  cp -f "$EXPDIR"/*.folded results/ 2>/dev/null || true
-fi
+# Timeline sidecars default to per-binary stems (<bin>.perfetto.json), so
+# a plain glob collects the sweep.
 if [[ -n "${ANT_PROFILE:-}" ]]; then
   cp -f "$EXPDIR"/*.perfetto.json results/ 2>/dev/null || true
 fi
