@@ -11,6 +11,7 @@
 use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
 use ant_conv::direct::sparse_conv_direct;
+use ant_conv::efficiency::TrainingPhase;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::inner::DenseInnerProduct;
 use ant_sim::scnn::ScnnPlus;
@@ -32,25 +33,18 @@ fn main() {
     let dense = DenseInnerProduct::paper_default();
 
     let mut table = Table::new(&["phase", "floor (useful)", "ANT", "SCNN+", "dense IP"]);
-    let phases: [(&str, Vec<ant_nn::trace::ConvPair>); 3] = [
-        ("W*A", synth.trace.forward_pairs().expect("valid")),
-        ("W*G_A", synth.trace.backward_pairs().expect("valid")),
-        ("G_A*A", synth.trace.update_pairs().expect("valid")),
-    ];
-    for (label, pairs) in phases {
+    for phase in TrainingPhase::ALL {
         let mut floor = 0u64;
         let mut ant_m = 0u64;
         let mut scnn_m = 0u64;
         let mut dense_m = 0u64;
-        for p in &pairs {
-            floor += sparse_conv_direct(&p.kernel, &p.image, &p.shape)
+        for (kernel, image, shape) in synth.trace.pairs(phase) {
+            floor += sparse_conv_direct(kernel, image, shape)
                 .expect("valid pair")
                 .multiplications;
-            ant_m += ant.simulate_conv_pair(&p.kernel, &p.image, &p.shape).mults;
-            scnn_m += scnn.simulate_conv_pair(&p.kernel, &p.image, &p.shape).mults;
-            dense_m += dense
-                .simulate_conv_pair(&p.kernel, &p.image, &p.shape)
-                .mults;
+            ant_m += ant.simulate_conv_pair(kernel, image, shape).mults;
+            scnn_m += scnn.simulate_conv_pair(kernel, image, shape).mults;
+            dense_m += dense.simulate_conv_pair(kernel, image, shape).mults;
         }
         let rel = |m: u64| {
             if floor == 0 {
@@ -60,7 +54,7 @@ fn main() {
             }
         };
         table.push_row(vec![
-            label.to_string(),
+            phase.paper_name().to_string(),
             floor.to_string(),
             rel(ant_m),
             rel(scnn_m),

@@ -10,6 +10,7 @@
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
+use ant_bench::runner::simulate_trace;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::{ReSpropSparsifier, SwatSparsifier};
@@ -20,19 +21,7 @@ use ant_sim::{ConvSim, SimStats};
 fn simulate_traces(machine: &impl ConvSim, traces: &[ant_nn::ConvTrace]) -> SimStats {
     let mut total = SimStats::default();
     for trace in traces {
-        for pairs in [
-            trace.forward_pairs().expect("valid trace"),
-            trace.backward_pairs().expect("valid trace"),
-            trace.update_pairs().expect("valid trace"),
-        ] {
-            for pair in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(
-                    &pair.kernel,
-                    &pair.image,
-                    &pair.shape,
-                ));
-            }
-        }
+        total.accumulate(&simulate_trace(machine, trace));
     }
     total
 }

@@ -8,25 +8,11 @@
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
+use ant_bench::runner::simulate_trace;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::resnet::ResNetLite;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, SimStats};
-
-fn simulate(machine: &impl ConvSim, trace: &ant_nn::ConvTrace) -> SimStats {
-    let mut total = SimStats::default();
-    for pairs in [
-        trace.forward_pairs().expect("valid trace"),
-        trace.backward_pairs().expect("valid trace"),
-        trace.update_pairs().expect("valid trace"),
-    ] {
-        for p in &pairs {
-            total.accumulate(&machine.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-        }
-    }
-    total
-}
 
 fn main() {
     let mut ds = SyntheticDataset::new(1, 16, 4, 0.08, 2026);
@@ -56,8 +42,8 @@ fn main() {
         "RCPs avoided",
     ]);
     for trace in &traces {
-        let s = simulate(&scnn, trace);
-        let a = simulate(&ant, trace);
+        let s = simulate_trace(&scnn, trace);
+        let a = simulate_trace(&ant, trace);
         table.push_row(vec![
             trace.name.clone(),
             percent(trace.activation_sparsity()),

@@ -10,6 +10,7 @@
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
+use ant_conv::efficiency::TrainingPhase;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::schedule::{perfect_balance_cycles, schedule_lpt, schedule_round_robin};
 use ant_sim::ConvSim;
@@ -32,13 +33,9 @@ fn main() {
     for (li, layer) in net.layers.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0x5c + li as u64);
         let synth = synthesize_layer(layer, &LayerSparsity::uniform(0.9), 4, &mut rng);
-        for pairs in [
-            synth.trace.forward_pairs().expect("valid layer"),
-            synth.trace.backward_pairs().expect("valid layer"),
-            synth.trace.update_pairs().expect("valid layer"),
-        ] {
-            for p in &pairs {
-                let stats = ant.simulate_conv_pair(&p.kernel, &p.image, &p.shape);
+        for phase in TrainingPhase::ALL {
+            for (kernel, image, shape) in synth.trace.pairs(phase) {
+                let stats = ant.simulate_conv_pair(kernel, image, shape);
                 job_cycles.push(stats.total_cycles());
             }
         }

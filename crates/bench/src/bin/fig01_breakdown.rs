@@ -46,16 +46,9 @@ fn main() {
         for (li, layer) in net.layers.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(0xF16 ^ li as u64);
             let synth = synthesize_layer(layer, &sparsity, max_channels, &mut rng);
-            let pairs = match phase {
-                TrainingPhase::Forward => synth.trace.forward_pairs(),
-                TrainingPhase::Backward => synth.trace.backward_pairs(),
-                TrainingPhase::Update => synth.trace.update_pairs(),
-            }
-            .expect("valid layer spec");
             let scale = (synth.channel_scale * layer.count as f64).round() as u64;
-            for pair in &pairs {
-                let b = breakdown(&pair.kernel, &pair.image, &pair.shape)
-                    .expect("pair shapes are consistent");
+            for (kernel, image, shape) in synth.trace.pairs(phase) {
+                let b = breakdown(kernel, image, shape).expect("pair shapes are consistent");
                 // Scale each sampled pair back to the full layer.
                 let scaled = ProductBreakdown {
                     total: b.total * scale,

@@ -12,6 +12,7 @@
 //! describes.
 
 use ant_bench::report::{percent, ratio, Table};
+use ant_conv::efficiency::TrainingPhase;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
 use ant_sim::{ConvSim, SimStats};
@@ -34,16 +35,15 @@ fn main() {
         let spec = ConvLayerSpec::new(format!("{size}x{size}"), 4, 4, 3, size, 1, 1, 1);
         let mut rng = StdRng::seed_from_u64(0x5ec76);
         let synth = synthesize_layer(&spec, &LayerSparsity::uniform(0.9), 4, &mut rng);
-        let pairs = synth.trace.update_pairs().expect("valid layer");
         let mut s_total = SimStats::default();
         let mut a_total = SimStats::default();
-        for p in &pairs {
-            s_total.accumulate(&scnn.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-            a_total.accumulate(&ant.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
+        for (kernel, image, shape) in synth.trace.pairs(TrainingPhase::Update) {
+            s_total.accumulate(&scnn.simulate_conv_pair(kernel, image, shape));
+            a_total.accumulate(&ant.simulate_conv_pair(kernel, image, shape));
         }
         table.push_row(vec![
             format!("{size}x{size}"),
-            format!("{:.0}", a_total.mults as f64 / pairs.len() as f64),
+            format!("{:.0}", a_total.mults as f64 / synth.trace.pair_count() as f64),
             ratio(s_total.total_cycles() as f64 / a_total.total_cycles() as f64),
             percent(a_total.startup_cycles as f64 / a_total.total_cycles().max(1) as f64),
         ]);

@@ -14,8 +14,8 @@
 //! * `accum_conflict` — banked-accumulator conflict accounting
 //!   ([`AccumulatorBanks::conflict_cycles_with`]) with a caller-owned
 //!   occupancy buffer.
-//! * `csr_compress` — once-per-layer CSR compression
-//!   ([`CsrMatrix::from_dense`]).
+//! * `csr_compress` — CSR compression of a dense plane
+//!   ([`CsrMatrix::from_dense`]), as trained-trace capture does it.
 //! * `fingerprint` — once-per-layer content keying for the simulation
 //!   cache ([`KeyBuilder::write_csr`] over a ResNet-scale plane).
 //! * `useful_count_fwd` / `useful_count_upd` — the exact useful-product
@@ -27,6 +27,11 @@
 //!   ([`AntAccelerator::simulate_conv_pair_scratch`] at the paper
 //!   configuration, no accumulator-bank model) on the same stem operands,
 //!   reusing one [`SimScratch`] like a simulator worker.
+//! * `synth_layer` — a cold layer's operand synthesis
+//!   ([`synthesize_layer`]: the CSR draw of every sampled plane plus the
+//!   backward phase's rotated kernels and dilated, padded gradients) for
+//!   the ResNet-50 stem and one 56x56 3x3 layer, at the runner's channel
+//!   sample.
 //!
 //! Each bench takes min-of-K batch timings (`std::hint::black_box` on every
 //! checksum so nothing folds away) and lands in the ledger as
@@ -41,6 +46,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use ant_conv::efficiency::TrainingPhase;
 use ant_conv::rcp::{count_useful_products_with, IndexRange, NzCounterScratch};
 use ant_conv::ConvShape;
 use ant_core::fnir::Fnir;
@@ -50,11 +56,15 @@ use ant_sim::accum::AccumulatorBanks;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::{ConvSim, SimScratch};
 use ant_sparse::{sparsify, Bitmask, CsrMatrix};
+use ant_workloads::models::resnet50_imagenet;
+use ant_workloads::synth::{synthesize_layer, LayerSparsity};
+use ant_workloads::ConvLayerSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fingerprint::KeyBuilder;
 use crate::history::HistoryEntry;
+use crate::runner::ExperimentConfig;
 
 /// Ledger label every microbench entry carries (the rolling-median baseline
 /// in `bench_history compare` only mixes entries with the same label, so
@@ -299,7 +309,7 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
             Box::new(move || banks.conflict_cycles_with(&indices, &mut counts)),
         ));
 
-        // Once-per-layer CSR compression of a 64x64 plane.
+        // CSR compression of a 64x64 dense plane.
         let mut rng = StdRng::seed_from_u64(seed_for("csr_compress", sparsity));
         let dense = sparsify::random_with_sparsity(64, 64, sparsity, &mut rng);
         benches.push(KernelBench::new(
@@ -362,8 +372,43 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
                 }),
             ));
         }
+
+        // One op synthesizes both layers from a fixed seed, so every op
+        // draws the same planes.
+        let layers = synth_layers();
+        let max_channels = ExperimentConfig::paper_default().max_channels;
+        let seed = seed_for("synth_layer", sparsity);
+        benches.push(KernelBench::new(
+            "synth_layer",
+            case.clone(),
+            2,
+            Box::new(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let sparsity = LayerSparsity::uniform(sparsity);
+                layers
+                    .iter()
+                    .map(|layer| {
+                        let trace = synthesize_layer(layer, &sparsity, max_channels, &mut rng).trace;
+                        let (kernel, image, _) = trace.pair(TrainingPhase::Backward, 0, 0);
+                        (kernel.nnz() + image.nnz() + trace.activation(0).nnz()) as u64
+                    })
+                    .sum()
+            }),
+        ));
     }
     benches
+}
+
+/// The `synth_layer` bench's layers: ResNet-50's 7x7 stride-2 stem over
+/// 224x224, and its first 3x3 layer over 56x56.
+fn synth_layers() -> Vec<ConvLayerSpec> {
+    let net = resnet50_imagenet();
+    let first_56 = net
+        .layers
+        .iter()
+        .find(|l| l.input_h == 56 && l.kernel_h == 3)
+        .cloned();
+    net.layers.first().cloned().into_iter().chain(first_56).collect()
 }
 
 /// The ResNet-50 stem's forward pair shape: a 7x7 kernel at stride 2 over
@@ -386,7 +431,7 @@ fn stem_operands(kernel_name: &str, shape: &ConvShape, sparsity: f64) -> (CsrMat
     let mut rng = StdRng::seed_from_u64(seed_for(kernel_name, sparsity));
     let mut plane = |rows: usize, cols: usize| {
         let nnz = ((1.0 - sparsity) * (rows * cols) as f64).round() as usize;
-        CsrMatrix::from_dense(&sparsify::random_with_nnz(rows, cols, nnz.max(1), &mut rng))
+        sparsify::random_csr_with_nnz(rows, cols, nnz.max(1), &mut rng)
     };
     let kernel = plane(shape.kernel_h(), shape.kernel_w());
     let image = plane(shape.image_h(), shape.image_w());
@@ -448,7 +493,7 @@ mod tests {
     fn standard_benches_cover_every_kernel_at_every_point() {
         for (grid, points) in [(Grid::Full, 3), (Grid::Tiny, 1)] {
             let benches = standard_benches(grid);
-            assert_eq!(benches.len(), 10 * points);
+            assert_eq!(benches.len(), 11 * points);
             let names: std::collections::BTreeSet<String> = benches
                 .iter()
                 .map(|b| format!("{}/{}", b.kernel(), b.case()))
@@ -465,6 +510,7 @@ mod tests {
                 "useful_count_upd",
                 "ant_pair_fwd",
                 "ant_pair_upd",
+                "synth_layer",
             ] {
                 assert_eq!(
                     benches.iter().filter(|b| b.kernel() == kernel).count(),
@@ -510,9 +556,19 @@ mod tests {
     }
 
     #[test]
+    fn synth_layer_times_the_stem_and_a_56x56_layer() {
+        let layers = synth_layers();
+        let dims: Vec<_> = layers
+            .iter()
+            .map(|l| (l.kernel_h, l.input_h, l.stride))
+            .collect();
+        assert_eq!(dims, [(7, 224, 2), (3, 56, 1)]);
+    }
+
+    #[test]
     fn tiny_grid_measures_and_builds_a_ledger_entry() {
         let (results, entry) = record(Grid::Tiny, 2);
-        assert_eq!(results.len(), 10);
+        assert_eq!(results.len(), 11);
         for r in &results {
             assert!(
                 r.measurement.ns_per_op > 0.0,
@@ -522,7 +578,7 @@ mod tests {
             assert!(r.measurement.spread >= 0.0);
         }
         assert_eq!(entry.label, LABEL);
-        assert_eq!(entry.metrics.len(), 20); // ns_per_op + _spread per bench
+        assert_eq!(entry.metrics.len(), 22); // ns_per_op + _spread per bench
         for r in &results {
             let name = r.metric_name();
             assert_eq!(entry.metrics[&name], r.measurement.ns_per_op);

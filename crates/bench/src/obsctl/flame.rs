@@ -96,15 +96,17 @@ impl FoldedProfile {
     }
 
     /// Total time per path: self plus every strict-descendant's self
-    /// (descendants share the path as a `;`-boundary prefix).
+    /// (descendants share the path as a `;`-boundary prefix). Sums
+    /// saturate at `u64::MAX`, since `parse` accepts any `u64` weight.
     pub fn total_us(&self) -> BTreeMap<String, u64> {
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
         for (path, &self_us) in &self.self_us {
             // Credit this leaf's self time to itself and every ancestor
             // prefix, walking the `;` boundaries.
-            *totals.entry(path.clone()).or_insert(0) += self_us;
-            for (idx, _) in path.match_indices(';') {
-                *totals.entry(path[..idx].to_string()).or_insert(0) += self_us;
+            let ancestors = path.match_indices(';').map(|(idx, _)| &path[..idx]);
+            for prefix in std::iter::once(path.as_str()).chain(ancestors) {
+                let total = totals.entry(prefix.to_string()).or_insert(0);
+                *total = total.saturating_add(self_us);
             }
         }
         // Keep only paths that exist in the profile (ancestors with no
@@ -165,25 +167,36 @@ pub fn diff(a: &FoldedProfile, b: &FoldedProfile) -> FlameDiff {
                 path: path.to_string(),
                 self_a_us,
                 self_b_us,
-                self_delta_us: self_b_us as i64 - self_a_us as i64,
+                self_delta_us: delta(self_a_us, self_b_us),
                 total_a_us,
                 total_b_us,
-                total_delta_us: total_b_us as i64 - total_a_us as i64,
+                total_delta_us: delta(total_a_us, total_b_us),
             }
         })
         .collect();
     deltas.sort_by(|x, y| {
         y.self_delta_us
-            .abs()
-            .cmp(&x.self_delta_us.abs())
+            .unsigned_abs()
+            .cmp(&x.self_delta_us.unsigned_abs())
             .then_with(|| x.path.cmp(&y.path))
     });
     FlameDiff {
         deltas,
-        total_a_us: a.self_us.values().sum(),
-        total_b_us: b.self_us.values().sum(),
-        lines_skipped: a.lines_skipped + b.lines_skipped,
+        total_a_us: saturating_sum(a.self_us.values()),
+        total_b_us: saturating_sum(b.self_us.values()),
+        lines_skipped: a.lines_skipped.saturating_add(b.lines_skipped),
     }
+}
+
+/// `b - a`, widened so any two `u64` weights subtract, then clamped into
+/// `i64`.
+fn delta(a: u64, b: u64) -> i64 {
+    let wide = i128::from(b) - i128::from(a);
+    wide.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+}
+
+fn saturating_sum<'a>(weights: impl Iterator<Item = &'a u64>) -> u64 {
+    weights.fold(0, |sum, &w| sum.saturating_add(w))
 }
 
 /// Renders the diff as a markdown table of the `top` biggest movers.
@@ -368,6 +381,25 @@ mod tests {
         assert_eq!(totals["exp;net;layer"], 150);
         assert_eq!(totals["exp;net"], 150);
         assert_eq!(totals["exp"], 160);
+    }
+
+    /// `parse` accepts any `u64` weight, so sums and differences of
+    /// weights saturate: unchecked, this pair reported `total_a_us` 4 and
+    /// a `+2` self delta for `a;b`.
+    #[test]
+    fn diff_saturates_weights_at_the_u64_range() {
+        let a = FoldedProfile::parse("a;b 18446744073709551615\na 5\n");
+        let b = FoldedProfile::parse("a;b 1\n");
+        assert_eq!(a.total_us()["a"], u64::MAX);
+        let d = diff(&a, &b);
+        assert_eq!(d.total_a_us, u64::MAX);
+        assert_eq!(d.total_b_us, 1);
+        let ab = d.deltas.iter().find(|p| p.path == "a;b").unwrap();
+        assert_eq!(ab.self_delta_us, i64::MIN);
+        assert_eq!(ab.total_delta_us, i64::MIN);
+        let root = d.deltas.iter().find(|p| p.path == "a").unwrap();
+        assert_eq!((root.self_delta_us, root.total_delta_us), (-5, i64::MIN));
+        assert_eq!(delta(0, u64::MAX), i64::MAX);
     }
 
     #[test]

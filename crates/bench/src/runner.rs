@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
 use ant_conv::ConvShape;
-use ant_nn::trace::ConvPair;
+use ant_nn::trace::PairRef;
+use ant_nn::ConvTrace;
 use ant_sim::cache::{CacheKey, MODEL_VERSION};
 use ant_sim::chaos::{self, ChaosConfig, Fault};
 use ant_sim::{AntError, ConvSim, SimScratch, SimStats};
@@ -693,26 +694,26 @@ fn truncated_csr_error(kernel: &CsrMatrix) -> AntError {
 /// chaos fault if one is scheduled for this attempt.
 fn run_pair_job<S: ConvSim + Sync + ?Sized>(
     pe: &S,
-    pair: &ConvPair,
+    (kernel, image, shape): PairRef<'_>,
     fault: Option<Fault>,
     scratch: &mut SimScratch,
 ) -> Result<SimStats, AntError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| match fault {
         Some(Fault::WorkerPanic) => panic!("chaos: injected worker panic"),
-        Some(Fault::TruncatedCsr) => Err(truncated_csr_error(&pair.kernel)),
+        Some(Fault::TruncatedCsr) => Err(truncated_csr_error(kernel)),
         Some(Fault::CorruptShape) => {
             // A shape that disagrees with the operands: either construction
             // fails (kernel outgrew the image) or the operand check does.
             let shape = ConvShape::new(
-                pair.shape.kernel_h() + 1,
-                pair.shape.kernel_w() + 1,
-                pair.shape.image_h(),
-                pair.shape.image_w(),
-                pair.shape.stride(),
+                shape.kernel_h() + 1,
+                shape.kernel_w() + 1,
+                shape.image_h(),
+                shape.image_w(),
+                shape.stride(),
             )?;
-            pe.try_simulate_conv_pair(&pair.kernel, &pair.image, &shape, scratch)
+            pe.try_simulate_conv_pair(kernel, image, &shape, scratch)
         }
-        None => pe.try_simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape, scratch),
+        None => pe.try_simulate_conv_pair(kernel, image, shape, scratch),
     }));
     match outcome {
         Ok(result) => result,
@@ -1116,9 +1117,15 @@ fn synthesize_layers(
         let stored = slots[li].set(synthesize_layer_work(&net.layers[li], li, cfg));
         debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
     };
+    // Spawned workers enter the caller's open spans, so a layer's
+    // `synthesize_layer` span has one path whichever thread drew it.
+    let context = ant_obs::span_context();
     std::thread::scope(|scope| {
         for _ in 1..threads.clamp(1, missing.len()) {
-            scope.spawn(synth_loop);
+            scope.spawn(|| {
+                let _entered = context.enter();
+                synth_loop()
+            });
         }
         synth_loop();
     });
@@ -1159,12 +1166,10 @@ fn dispatch<S: ConvSim + Sync + ?Sized>(
         let LayerPlan::Fresh { work, .. } = layer else {
             continue;
         };
-        for (pi, (_, pairs, _)) in work.phases.iter().enumerate() {
-            for (pair_index, pair) in pairs.iter().enumerate() {
+        for (pi, phase) in TrainingPhase::ALL.into_iter().enumerate() {
+            for (pair_index, (kernel, image, shape)) in work.trace.pairs(phase).enumerate() {
                 if analytic_active {
-                    if let Some(stats) =
-                        pe.analytic_conv_pair(&pair.kernel, &pair.image, &pair.shape)
-                    {
+                    if let Some(stats) = pe.analytic_conv_pair(kernel, image, shape) {
                         analytic[li * 3 + pi].accumulate(&stats);
                         analytic_pairs += 1;
                         continue;
@@ -1235,6 +1240,9 @@ fn dispatch<S: ConvSim + Sync + ?Sized>(
     // The calling thread is worker 0; only workers 1.. and the watchdog are
     // spawned, so a single worker with no watchdog runs entirely inline.
     // The watchdog runs until its stop sender drops, after the join.
+    // Spawned workers enter the caller's open spans, so every
+    // `steal_worker` span has the same path.
+    let context = &ant_obs::span_context();
     let joined: Vec<std::thread::Result<WorkerOutput>> = std::thread::scope(|scope| {
         let pool = &pool;
         let stop_watchdog = settings.budget_us.map(|budget| {
@@ -1244,7 +1252,12 @@ fn dispatch<S: ConvSim + Sync + ?Sized>(
             stop
         });
         let handles: Vec<_> = (1..workers)
-            .map(|me| scope.spawn(move || run_worker(pool, me)))
+            .map(|me| {
+                scope.spawn(move || {
+                    let _entered = context.enter();
+                    run_worker(pool, me)
+                })
+            })
             .collect();
         let mut joined = vec![catch_unwind(AssertUnwindSafe(|| run_worker(pool, 0)))];
         joined.extend(handles.into_iter().map(|h| h.join()));
@@ -1338,8 +1351,11 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
         let LayerPlan::Fresh { work, .. } = &pool.layers[task.layer] else {
             continue;
         };
-        let (phase, pairs, _) = &work.phases[task.phase];
-        let pair = &pairs[task.pair];
+        let phase = TrainingPhase::ALL[task.phase];
+        let channels = work.trace.in_channels();
+        let pair = work
+            .trace
+            .pair(phase, task.pair / channels, task.pair % channels);
         let job_started = settings.budget_us.map(|_| {
             let slot = &pool.watch[me];
             slot.task.store(encode_task(task), Ordering::Relaxed);
@@ -1414,7 +1430,7 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
                 out.failures.push(PairFailure {
                     layer_index: task.layer,
                     layer: pool.net.layers[task.layer].name.clone(),
-                    phase: *phase,
+                    phase,
                     pair: task.pair,
                     machine: pool.pe.name(),
                     error,
@@ -1543,7 +1559,7 @@ fn merge<S: ConvSim + ?Sized>(
                     .record("machine", pe.name())
                     .record("channel_scale", work.channel_scale);
                 let mut phases = [SimStats::default(); 3];
-                for (pi, (phase, pairs, distinct_images)) in work.phases.iter().enumerate() {
+                for (pi, phase) in TrainingPhase::ALL.into_iter().enumerate() {
                     let mut phase_stats = SimStats::default();
                     for out in &dispatched.outputs {
                         phase_stats.accumulate(&out.partial[li * 3 + pi]);
@@ -1555,7 +1571,8 @@ fn merge<S: ConvSim + ?Sized>(
                     if let Some(partial) = dispatched.analytic.get(li * 3 + pi) {
                         phase_stats.accumulate(partial);
                     }
-                    phases[pi] = finalize_phase(phase_stats, *distinct_images, work.scale);
+                    let distinct_images = work.trace.distinct_images(phase) as u64;
+                    phases[pi] = finalize_phase(phase_stats, distinct_images, work.scale);
                     // Same phase-delta contract as the serial runner's
                     // spans; the pairs ran interleaved across workers, so no
                     // per-phase host wall time is attributable here.
@@ -1566,10 +1583,10 @@ fn merge<S: ConvSim + ?Sized>(
                             .record("network", net.name)
                             .record("machine", pe.name())
                             .record("layer", layer.name.as_str())
-                            .record("pairs", pairs.len());
+                            .record("pairs", work.trace.pair_count());
                         phase_span.record_all(stats_fields(&phases[pi]));
                     }
-                    debug_assert_eq!(merged.per_phase[pi].0, *phase);
+                    debug_assert_eq!(merged.per_phase[pi].0, phase);
                 }
                 // A layer is clean only when no pair was quarantined *and*
                 // none was skipped by deadline cancellation — either way its
@@ -1674,10 +1691,11 @@ fn watchdog_loop(
     }
 }
 
-/// One layer's synthesized sample plus the constants needed to reproduce
-/// the serial accounting: the sampled pairs of each training phase with its
-/// image-stationary `distinct_images` clamp, and the counter scale factor.
-/// Built once per layer (by either runner) and consumed read-only.
+/// One layer's synthesized sample plus the counter scale factor needed to
+/// reproduce the serial accounting. Built once per layer (by either runner)
+/// and consumed read-only: a pair job is a `(phase, pair)` index that the
+/// trace resolves to borrowed planes, and each phase's image-stationary
+/// start-up clamp is the trace's `distinct_images`.
 #[derive(Debug)]
 struct LayerWork {
     /// `channel_scale * layer.count`: factor from sampled to full-layer
@@ -1685,9 +1703,8 @@ struct LayerWork {
     scale: f64,
     /// Channel-sampling scale alone (for span parity with older traces).
     channel_scale: f64,
-    /// Per-phase sampled pairs and the distinct resident-image count that
-    /// bounds the start-up charge.
-    phases: [(TrainingPhase, Vec<ConvPair>, u64); 3],
+    /// The sampled planes, with the backward phase's derived once.
+    trace: ConvTrace,
 }
 
 /// The pre-synthesis memo key for one layer: hashes everything that
@@ -1737,38 +1754,43 @@ fn content_cache_key(machine_identity: &str, work: &LayerWork) -> CacheKey {
     key.write_u64(u64::from(MODEL_VERSION));
     key.write_str(machine_identity);
     key.write_f64(work.scale);
-    for (phase, pairs, distinct_images) in &work.phases {
+    for phase in TrainingPhase::ALL {
         key.write_str(phase.paper_name());
-        key.write_u64(*distinct_images);
-        key.write_usize(pairs.len());
-        for pair in pairs {
+        key.write_u64(work.trace.distinct_images(phase) as u64);
+        key.write_usize(work.trace.pair_count());
+        for (kernel, image, shape) in work.trace.pairs(phase) {
             for dim in [
-                pair.shape.kernel_h(),
-                pair.shape.kernel_w(),
-                pair.shape.image_h(),
-                pair.shape.image_w(),
-                pair.shape.stride(),
-                pair.shape.dilation(),
+                shape.kernel_h(),
+                shape.kernel_w(),
+                shape.image_h(),
+                shape.image_w(),
+                shape.stride(),
+                shape.dilation(),
             ] {
                 key.write_usize(dim);
             }
-            key.write_csr(&pair.kernel);
-            key.write_csr(&pair.image);
+            key.write_csr(kernel);
+            key.write_csr(image);
         }
     }
     key.finish()
 }
 
-/// Synthesizes one layer's [`LayerWork`]. The RNG seed derives from
-/// `cfg.seed` and the layer index alone, so any execution order (serial,
-/// chunked, work-stealing) sees identical operands. Trace-extraction errors
-/// and panics inside synthesis come back as typed errors tagged with the
-/// layer.
+/// Synthesizes one layer's [`LayerWork`] under a `synthesize_layer` span.
+/// The RNG seed derives from `cfg.seed` and the layer index alone, so any
+/// execution order (serial, chunked, work-stealing) sees identical
+/// operands. Panics inside synthesis come back as typed errors tagged with
+/// the layer.
 fn synthesize_layer_work(
     layer: &ant_workloads::ConvLayerSpec,
     layer_index: usize,
     cfg: &ExperimentConfig,
 ) -> Result<LayerWork, AntError> {
+    let mut span = ant_obs::span("synthesize_layer");
+    if span.is_recording() {
+        span.record("layer", layer.name.as_str())
+            .record("layer_index", layer_index);
+    }
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ (layer_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let synth = catch_unwind(AssertUnwindSafe(|| {
@@ -1781,35 +1803,10 @@ fn synthesize_layer_work(
             format!("layer {layer_index} ({:?}): {inner}", layer.name),
         )
     })?;
-    // Image-stationary reuse (paper Sections 2.3 and 6.1): the resident
-    // image plane is held while every kernel matrix streams past, so the
-    // five-cycle pipeline start-up is paid once per *image*, not once per
-    // (k, c) pair. Forward/update phases keep an input-channel plane
-    // resident; the backward phase keeps a gradient plane (one per output
-    // channel) resident. All machines share the dataflow, so the
-    // amortization applies equally.
-    let in_images = synth.trace.in_channels() as u64;
-    let out_images = synth.trace.out_channels() as u64;
     Ok(LayerWork {
         scale: synth.channel_scale * layer.count as f64,
         channel_scale: synth.channel_scale,
-        phases: [
-            (
-                TrainingPhase::Forward,
-                synth.trace.forward_pairs()?,
-                in_images,
-            ),
-            (
-                TrainingPhase::Backward,
-                synth.trace.backward_pairs()?,
-                out_images,
-            ),
-            (
-                TrainingPhase::Update,
-                synth.trace.update_pairs()?,
-                in_images,
-            ),
-        ],
+        trace: synth.trace,
     })
 }
 
@@ -1817,6 +1814,12 @@ fn synthesize_layer_work(
 /// accumulated pair counters. Shared by the serial and work-stealing
 /// runners: this is the single definition of the sampled-to-full-layer
 /// accounting.
+///
+/// Image-stationary reuse (paper Sections 2.3 and 6.1): the resident image
+/// plane is held while every kernel matrix streams past, so the five-cycle
+/// pipeline start-up is paid once per *image* (`distinct_images`, see
+/// [`ConvTrace::distinct_images`]), not once per (k, c) pair. All machines
+/// share the dataflow, so the amortization applies equally.
 fn finalize_phase(mut phase_stats: SimStats, distinct_images: u64, scale: f64) -> SimStats {
     phase_stats.startup_cycles = phase_stats
         .startup_cycles
@@ -1851,7 +1854,7 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
         SimStats::default(),
         SimStats::default(),
     ];
-    for (pi, (phase, pairs, distinct_images)) in work.phases.iter().enumerate() {
+    for (pi, phase) in TrainingPhase::ALL.into_iter().enumerate() {
         let phase_started = Instant::now();
         let mut phase_span = ant_obs::span("phase");
         phase_span
@@ -1859,12 +1862,13 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
             .record("network", out.network)
             .record("machine", pe.name())
             .record("layer", layer.name.as_str())
-            .record("pairs", pairs.len());
+            .record("pairs", work.trace.pair_count());
         let mut phase_stats = SimStats::default();
-        for pair in pairs {
-            phase_stats.accumulate(&pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape));
+        for (kernel, image, shape) in work.trace.pairs(phase) {
+            phase_stats.accumulate(&pe.simulate_conv_pair(kernel, image, shape));
         }
-        let scaled = finalize_phase(phase_stats, *distinct_images, work.scale);
+        let distinct_images = work.trace.distinct_images(phase) as u64;
+        let scaled = finalize_phase(phase_stats, distinct_images, work.scale);
         // The scaled stats are exactly this phase's contribution (delta)
         // to the network totals; attach them to the phase span, with the
         // host wall time this phase took to simulate and the derived
@@ -1877,8 +1881,8 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
         }
         out.total.accumulate(&scaled);
         // `per_phase` is built in `[Forward, Backward, Update]` order, the
-        // same order `LayerWork::phases` uses, so direct indexing holds.
-        debug_assert_eq!(out.per_phase[pi].0, *phase);
+        // order of `TrainingPhase::ALL`, so direct indexing holds.
+        debug_assert_eq!(out.per_phase[pi].0, phase);
         out.per_phase[pi].1.accumulate(&scaled);
         layer_total.accumulate(&scaled);
         scaled_phases[pi] = scaled;
@@ -1919,20 +1923,34 @@ pub fn pair_jobs<S: ConvSim + ?Sized>(
     let mut jobs = Vec::new();
     for (li, layer) in net.layers.iter().enumerate() {
         let work = synthesize_layer_work(layer, li, cfg).unwrap_or_else(|e| panic!("{e}"));
-        for (phase, pairs, _) in &work.phases {
-            for pair in pairs {
-                let stats = pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape);
+        for phase in TrainingPhase::ALL {
+            for (kernel, image, shape) in work.trace.pairs(phase) {
+                let stats = pe.simulate_conv_pair(kernel, image, shape);
                 stats.debug_assert_cycles_attributed("pair job");
                 jobs.push(PairJob {
                     layer_index: li,
                     layer: layer.name.clone(),
-                    phase: *phase,
+                    phase,
                     stats,
                 });
             }
         }
     }
     jobs
+}
+
+/// Simulates every pair of a trace's three phases on `pe` and returns the
+/// raw sum of their stats: how captured and decoded traces (`ant-nn`
+/// training runs, trace bundles) are replayed. The pairs borrow the
+/// trace's planes; nothing is copied.
+pub fn simulate_trace<S: ConvSim + ?Sized>(pe: &S, trace: &ConvTrace) -> SimStats {
+    let mut total = SimStats::default();
+    for phase in TrainingPhase::ALL {
+        for (kernel, image, shape) in trace.pairs(phase) {
+            total.accumulate(&pe.simulate_conv_pair(kernel, image, shape));
+        }
+    }
+    total
 }
 
 /// Simulates a set of matmul layers (transformer/RNN training phases,

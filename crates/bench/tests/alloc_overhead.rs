@@ -89,3 +89,45 @@ fn spans_carry_real_alloc_deltas_when_counting() {
     );
     assert!(fields.get("allocs").unwrap().as_u64().unwrap() >= 1);
 }
+
+/// A trace bundle decoder reserves nothing its input does not justify:
+/// every declared count is checked against the bytes that follow before a
+/// `Vec` is reserved, and planes stay CSR. Once, a 262 KB bundle declaring
+/// a 65536 x 65536 plane allocated a 16 GiB dense plane.
+#[test]
+fn trace_bundle_decode_allocates_in_proportion_to_its_input() {
+    use ant_workloads::synth::{synthesize_layer, LayerSparsity};
+    use ant_workloads::trace_io::{decode_traces, encode_traces};
+    use ant_workloads::ConvLayerSpec;
+    use rand::SeedableRng;
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let spec = ConvLayerSpec::new("bundle", 3, 2, 3, 10, 2, 1, 1);
+    let trace = synthesize_layer(&spec, &LayerSparsity::uniform(0.8), 4, &mut rng).trace;
+    let bundle = encode_traces(&[trace]).to_vec();
+    // The header of that bundle, then one empty 65536 x 65536 plane.
+    let name_end = 12 + 4 + "bundle".len();
+    let mut huge = bundle[..name_end + 12].to_vec();
+    huge.extend_from_slice(&[0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+    huge.extend(std::iter::repeat_n(0u8, 4 * ((1 << 16) + 1)));
+    let mut cases = vec![bundle.clone(), huge];
+    for cut in [9, 20, bundle.len() / 2, bundle.len() - 1] {
+        cases.push(bundle[..cut].to_vec());
+    }
+
+    let _guard = alloc_guard().lock().unwrap_or_else(|e| e.into_inner());
+    ant_obs::alloc::enable();
+    for case in &cases {
+        let before = ant_obs::alloc::snapshot();
+        let decoded = std::hint::black_box(decode_traces(case));
+        let delta = ant_obs::alloc::snapshot().delta_from(&before);
+        drop(decoded);
+        assert!(
+            delta.allocated_bytes <= 16 * case.len() as u64 + 4096,
+            "a {}-byte bundle allocated {} bytes",
+            case.len(),
+            delta.allocated_bytes
+        );
+    }
+    ant_obs::alloc::disable();
+}

@@ -241,10 +241,10 @@ mod tests {
         assert_eq!(t1.name, "conv1");
         assert_eq!(t1.out_channels(), 8);
         assert_eq!(t1.in_channels(), 1);
-        assert_eq!(t1.activations[0].shape(), (10, 10)); // 8 + 2*pad
+        assert_eq!(t1.activation(0).shape(), (10, 10)); // 8 + 2*pad
         let t2 = &traces[1];
         assert_eq!(t2.out_channels(), 12);
         assert_eq!(t2.in_channels(), 8);
-        assert_eq!(t2.grad_out[0].shape(), (4, 4));
+        assert_eq!(t2.gradient(0).shape(), (4, 4));
     }
 }

@@ -54,7 +54,7 @@ pub use json::{parse as parse_json, Json, Value};
 pub use manifest::{git_revision, RunManifest};
 pub use metrics::{registry, Counter, Gauge, Histogram, InstrumentSnapshot, Registry};
 pub use progress::{banner, note, Progress, RunStatus, StatusReporter};
-pub use span::{current_span_id, event, span, Span};
+pub use span::{current_span_id, event, span, span_context, EnteredContext, Span, SpanContext};
 pub use timeline::Timeline;
 pub use trace::{detail_enabled, enabled, trace_file, MemorySink, Sink};
 

@@ -33,6 +33,56 @@ pub fn current_span_id() -> Option<u64> {
     STACK.with(|stack| stack.borrow().last().map(|(id, _)| *id))
 }
 
+/// The spans open on one thread, captured to be entered on another: a
+/// scoped worker that enters its caller's context opens its spans under the
+/// caller's, so a span's path does not depend on which thread ran it.
+/// Empty, and captured without allocating, when tracing is off.
+#[derive(Debug, Clone, Default)]
+pub struct SpanContext {
+    stack: Vec<(u64, String)>,
+}
+
+/// Captures the spans open on this thread, for [`SpanContext::enter`] on a
+/// worker thread.
+pub fn span_context() -> SpanContext {
+    SpanContext {
+        stack: STACK.with(|stack| stack.borrow().clone()),
+    }
+}
+
+impl SpanContext {
+    /// Makes the captured spans the ancestors of every span this thread
+    /// opens until the returned guard drops. Entering an empty context does
+    /// nothing.
+    pub fn enter(&self) -> EnteredContext {
+        let base = STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            let base = stack.len();
+            stack.extend(self.stack.iter().cloned());
+            base
+        });
+        EnteredContext {
+            base,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+}
+
+/// Guard of an entered [`SpanContext`]: dropping it takes the captured
+/// spans off this thread's stack again.
+#[derive(Debug)]
+pub struct EnteredContext {
+    base: usize,
+    /// The guard refers to this thread's stack, so it stays on the thread.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for EnteredContext {
+    fn drop(&mut self) {
+        STACK.with(|stack| stack.borrow_mut().truncate(self.base));
+    }
+}
+
 /// A timed, named region. Emits one `"span"` record on drop when tracing is
 /// enabled; inert otherwise.
 #[derive(Debug)]

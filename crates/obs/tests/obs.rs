@@ -462,6 +462,50 @@ fn spans_on_separate_threads_do_not_interfere() {
 }
 
 #[test]
+fn a_worker_that_enters_its_callers_context_nests_under_it() {
+    let records = with_sink(false, || {
+        let outer = ant_obs::span("caller");
+        let context = ant_obs::span_context();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _entered = context.enter();
+                let _worker = ant_obs::span("worker");
+            });
+            scope.spawn(|| {
+                let _worker = ant_obs::span("worker");
+            });
+        });
+        // The caller's own stack is untouched by the workers.
+        let _leaf = ant_obs::span("leaf");
+        drop(outer);
+    });
+    let caller = records
+        .iter()
+        .find(|r| r.get("name").unwrap().as_str() == Some("caller"))
+        .unwrap();
+    let caller_id = caller.get("span").unwrap().as_u64();
+    let mut worker_paths: Vec<(&str, Option<u64>)> = records
+        .iter()
+        .filter(|r| r.get("name").unwrap().as_str() == Some("worker"))
+        .map(|r| {
+            let parent = r.get("parent").and_then(|p| p.as_u64());
+            (r.get("path").unwrap().as_str().unwrap(), parent)
+        })
+        .collect();
+    worker_paths.sort();
+    assert_eq!(worker_paths, [("caller/worker", caller_id), ("worker", None)]);
+    let leaf = records
+        .iter()
+        .find(|r| r.get("name").unwrap().as_str() == Some("leaf"))
+        .unwrap();
+    assert_eq!(leaf.get("path").unwrap().as_str(), Some("caller/leaf"));
+    // Entering a context captured with tracing off changes nothing.
+    let empty = ant_obs::span_context();
+    let _entered = empty.enter();
+    assert_eq!(ant_obs::current_span_id(), None);
+}
+
+#[test]
 fn failing_file_sink_disables_tracing_and_keeps_running() {
     // `/dev/full` accepts the open but fails every write with ENOSPC —
     // exactly the mid-run disk-full case the sink must survive. Skip on

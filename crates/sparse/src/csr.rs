@@ -138,6 +138,34 @@ impl CsrMatrix {
         }
     }
 
+    /// Assembles a matrix from arrays its caller built in CSR order
+    /// (row pointers from 0 to `values.len()`, columns strictly increasing
+    /// within each row), without re-validating them in release builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub(crate) fn from_sorted_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert!(rows > 0 && cols > 0, "dimensions must be non-zero");
+        debug_assert!(
+            Self::from_raw(rows, cols, row_ptr.clone(), col_idx.clone(), values.clone()).is_ok(),
+            "parts must satisfy the CSR invariants"
+        );
+        Self {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Builds a CSR matrix from `(row, col, value)` triplets (any order,
     /// zeros skipped).
     ///
@@ -346,6 +374,54 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+    }
+
+    /// Dilates by `factor` and zero-pads by `pad_h` rows and `pad_w`
+    /// columns on each side via index remapping only: entry `(y, x)` maps
+    /// to `(pad_h + y * factor, pad_w + x * factor)` in a
+    /// `(rows - 1) * factor + 1 + 2 * pad_h` by
+    /// `(cols - 1) * factor + 1 + 2 * pad_w` matrix.
+    ///
+    /// With `factor == 1` this is plain padding (a padded feature map);
+    /// with `pad = (R - 1, S - 1)` and the forward stride it is the
+    /// backward phase's image (paper Eq. 2: the upstream gradient dilated
+    /// by the stride, then padded for the full convolution). Like
+    /// [`CsrMatrix::rotate180`], no arithmetic on values occurs and the
+    /// map is monotone, so the storage order carries over unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor == 0`.
+    pub fn dilate_pad(&self, factor: usize, pad_h: usize, pad_w: usize) -> Self {
+        assert!(factor > 0, "dilation factor must be non-zero");
+        let rows = (self.rows - 1) * factor + 1 + 2 * pad_h;
+        let cols = (self.cols - 1) * factor + 1 + 2 * pad_w;
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.resize(pad_h + 1, 0);
+        for y in 0..self.rows {
+            let end = self.row_ptr[y + 1];
+            if y > 0 {
+                row_ptr.resize(row_ptr.len() + factor - 1, self.row_ptr[y]);
+            }
+            row_ptr.push(end);
+        }
+        row_ptr.resize(rows + 1, self.nnz());
+        Self {
+            rows,
+            cols,
+            row_ptr,
+            col_idx: self.col_idx.iter().map(|&x| pad_w + x * factor).collect(),
+            values: self.values.clone(),
+        }
+    }
+
+    /// Replaces every stored value `v` by `f(v)`, keeping the sparsity
+    /// pattern (a value `f` maps to zero stays stored).
+    pub fn map_values(mut self, f: impl Fn(f32) -> f32) -> Self {
+        for v in &mut self.values {
+            *v = f(*v);
+        }
+        self
     }
 
     /// Returns the transpose as a new CSR matrix.
@@ -575,6 +651,44 @@ mod tests {
         assert_eq!(orig, rotated);
         // Twice is identity.
         assert_eq!(rot.rotate180(), csr);
+    }
+
+    /// The dense reference of `dilate_pad`: zeros between elements, then
+    /// a zero border.
+    fn dilate_pad_dense(m: &DenseMatrix, factor: usize, ph: usize, pw: usize) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(
+            (m.rows() - 1) * factor + 1 + 2 * ph,
+            (m.cols() - 1) * factor + 1 + 2 * pw,
+        );
+        for (r, c, v) in m.iter_nonzero() {
+            out[(ph + r * factor, pw + c * factor)] = v;
+        }
+        out
+    }
+
+    #[test]
+    fn dilate_pad_matches_the_dense_index_map() {
+        let kernel = paper_fig7_kernel();
+        for (factor, ph, pw) in [(1, 0, 0), (1, 2, 1), (2, 0, 0), (3, 1, 2), (2, 6, 6)] {
+            let mapped = kernel.dilate_pad(factor, ph, pw);
+            let expected = CsrMatrix::from_dense(&dilate_pad_dense(&kernel.to_dense(), factor, ph, pw));
+            assert_eq!(mapped, expected, "factor {factor}, pad ({ph}, {pw})");
+        }
+        // Empty rows at either end and an all-empty matrix keep valid
+        // row pointers.
+        let edges = CsrMatrix::from_triplets(4, 3, vec![(1, 2, 5.0), (2, 0, -1.0)]).unwrap();
+        assert_eq!(
+            edges.dilate_pad(2, 1, 0),
+            CsrMatrix::from_dense(&dilate_pad_dense(&edges.to_dense(), 2, 1, 0))
+        );
+        assert_eq!(CsrMatrix::empty(2, 2).dilate_pad(3, 1, 1), CsrMatrix::empty(6, 6));
+        assert_eq!(kernel.dilate_pad(1, 0, 0), kernel);
+    }
+
+    #[test]
+    fn map_values_keeps_the_pattern() {
+        let csr = CsrMatrix::from_dense(&paper_fig2_image()).map_values(f32::abs);
+        assert_eq!(csr.to_dense(), paper_fig2_image().map(f32::abs));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 
 /// Zeroes all but the `keep` largest-magnitude elements (paper's synthetic
@@ -76,29 +77,95 @@ pub fn threshold(matrix: &DenseMatrix, threshold: f32) -> DenseMatrix {
     out
 }
 
-/// Generates a random dense matrix with exactly `nnz` non-zero entries at
-/// uniformly random positions, values drawn uniformly from
+/// Draws a random `rows x cols` CSR matrix with exactly `nnz` non-zero
+/// entries at uniformly random positions, values drawn uniformly from
 /// `[-1, 1] \ {0}`.
 ///
 /// This models the *unstructured dynamic* sparsity patterns encountered in
 /// training (Sec. 2.2), where non-zero positions change every iteration.
+/// The draw is one full Fisher–Yates pass over all `rows * cols` positions,
+/// then one value per kept position in shuffled order; the kept positions
+/// are then sorted into CSR order, so no dense plane is built. This is the
+/// one owner of the synthetic RNG stream: [`random_with_nnz`] scatters the
+/// same draw into a dense matrix.
+///
+/// # Panics
+///
+/// Panics if `nnz > rows * cols`, if `rows * cols` exceeds `u32::MAX`, or
+/// if a dimension is zero.
+pub fn random_csr_with_nnz<R: Rng>(rows: usize, cols: usize, nnz: usize, rng: &mut R) -> CsrMatrix {
+    let len = rows * cols;
+    assert!(nnz <= len, "nnz exceeds matrix capacity");
+    assert!(u32::try_from(len).is_ok(), "plane exceeds u32 positions");
+    // The swaps depend only on the slice length, so shuffling `u32`
+    // positions draws exactly what shuffling `usize` positions drew.
+    let mut positions: Vec<u32> = (0..len as u32).collect();
+    positions.shuffle(rng);
+    let mut kept: Vec<(u32, f32)> = positions[..nnz]
+        .iter()
+        .map(|&p| {
+            let mut v = 0.0f32;
+            while v == 0.0 {
+                v = rng.gen_range(-1.0f32..1.0f32);
+            }
+            (p, v)
+        })
+        .collect();
+    // Free the shuffle buffer (4 bytes per position) before the CSR arrays
+    // are built, so a plane's peak is the larger of the two, not the sum.
+    drop(positions);
+    kept.sort_unstable_by_key(|&(p, _)| p);
+    let mut row_ptr = vec![0usize; rows + 1];
+    for &(p, _) in &kept {
+        row_ptr[p as usize / cols + 1] += 1;
+    }
+    for r in 0..rows {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+    let col_idx = kept.iter().map(|&(p, _)| p as usize % cols).collect();
+    let values = kept.iter().map(|&(_, v)| v).collect();
+    CsrMatrix::from_sorted_parts(rows, cols, row_ptr, col_idx, values)
+}
+
+/// Generates a random dense matrix with exactly `nnz` non-zero entries at
+/// uniformly random positions: the dense scatter of
+/// [`random_csr_with_nnz`]'s draw, with the same RNG stream.
 ///
 /// # Panics
 ///
 /// Panics if `nnz > rows * cols`.
 pub fn random_with_nnz<R: Rng>(rows: usize, cols: usize, nnz: usize, rng: &mut R) -> DenseMatrix {
-    assert!(nnz <= rows * cols, "nnz exceeds matrix capacity");
-    let mut positions: Vec<usize> = (0..rows * cols).collect();
-    positions.shuffle(rng);
-    let mut out = DenseMatrix::zeros(rows, cols);
-    for &p in positions.iter().take(nnz) {
-        let mut v = 0.0f32;
-        while v == 0.0 {
-            v = rng.gen_range(-1.0f32..1.0f32);
-        }
-        out.as_mut_slice()[p] = v;
-    }
-    out
+    random_csr_with_nnz(rows, cols, nnz, rng).to_dense()
+}
+
+/// The exact non-zero count of a `rows x cols` plane at a target sparsity:
+/// `round((1 - sparsity) * len)`, how the paper's synthetic traces hit
+/// their sparsity targets.
+///
+/// # Panics
+///
+/// Panics if `sparsity` is not in `[0, 1]`.
+fn nnz_at_sparsity(rows: usize, cols: usize, sparsity: f64) -> usize {
+    assert!(
+        (0.0..=1.0).contains(&sparsity),
+        "sparsity must be in [0, 1]"
+    );
+    ((1.0 - sparsity) * (rows * cols) as f64).round() as usize
+}
+
+/// Draws a random CSR matrix at a target sparsity fraction
+/// ([`random_csr_with_nnz`] at `round((1 - sparsity) * len)` non-zeros).
+///
+/// # Panics
+///
+/// Panics if `sparsity` is not in `[0, 1]`, or as [`random_csr_with_nnz`].
+pub fn random_csr_with_sparsity<R: Rng>(
+    rows: usize,
+    cols: usize,
+    sparsity: f64,
+    rng: &mut R,
+) -> CsrMatrix {
+    random_csr_with_nnz(rows, cols, nnz_at_sparsity(rows, cols, sparsity), rng)
 }
 
 /// Generates a random dense matrix at a target sparsity fraction.
@@ -115,12 +182,7 @@ pub fn random_with_sparsity<R: Rng>(
     sparsity: f64,
     rng: &mut R,
 ) -> DenseMatrix {
-    assert!(
-        (0.0..=1.0).contains(&sparsity),
-        "sparsity must be in [0, 1]"
-    );
-    let nnz = ((1.0 - sparsity) * (rows * cols) as f64).round() as usize;
-    random_with_nnz(rows, cols, nnz, rng)
+    random_with_nnz(rows, cols, nnz_at_sparsity(rows, cols, sparsity), rng)
 }
 
 /// Applies a ReLU-like sparsity pattern: each element is independently zeroed

@@ -12,7 +12,7 @@
 
 use ant_conv::matmul::MatmulShape;
 use ant_nn::ConvTrace;
-use ant_sparse::{sparsify, CsrMatrix, DenseMatrix};
+use ant_sparse::{sparsify, CsrMatrix};
 use rand::Rng;
 
 use crate::models::ConvLayerSpec;
@@ -56,11 +56,15 @@ pub struct SynthesizedLayer {
 /// At most `max_channels` output and input channels are materialized; the
 /// returned `channel_scale` restores full-layer counts. Activation planes
 /// are generated non-negative (ReLU regime) with the padding border zeroed,
-/// exactly as a padded feature map looks in SRAM.
+/// exactly as a padded feature map looks in SRAM. Every plane is drawn
+/// straight into CSR ([`sparsify::random_csr_with_sparsity`]) and padded
+/// by an index map, in the same RNG order as the dense draws it replaces:
+/// weights `[k][c]`, then activations `[c]`, then gradients `[k]`.
 ///
 /// # Panics
 ///
-/// Panics if `max_channels == 0` or a sparsity is outside `[0, 1]`.
+/// Panics if `max_channels == 0`, a sparsity is outside `[0, 1]`, or the
+/// spec's kernel does not fit its padded input.
 pub fn synthesize_layer<R: Rng>(
     spec: &ConvLayerSpec,
     sparsity: &LayerSparsity,
@@ -72,28 +76,37 @@ pub fn synthesize_layer<R: Rng>(
     let c_s = spec.in_channels.min(max_channels);
     let (oh, ow) = spec.output_dims();
     let pad = spec.padding;
-    let (ph, pw) = (spec.input_h + 2 * pad, spec.input_w + 2 * pad);
 
     let weights = (0..k_s)
         .map(|_| {
             (0..c_s)
-                .map(|_| random_plane(spec.kernel_h, spec.kernel_w, sparsity.weight, false, rng))
+                .map(|_| {
+                    sparsify::random_csr_with_sparsity(
+                        spec.kernel_h,
+                        spec.kernel_w,
+                        sparsity.weight,
+                        rng,
+                    )
+                })
                 .collect()
         })
         .collect();
     let activations = (0..c_s)
         .map(|_| {
             // Interior at target sparsity, zero border from padding.
-            let interior = random_plane(spec.input_h, spec.input_w, sparsity.activation, true, rng);
-            pad_plane(&interior, pad, ph, pw)
+            sparsify::random_csr_with_sparsity(spec.input_h, spec.input_w, sparsity.activation, rng)
+                .map_values(f32::abs)
+                .dilate_pad(1, pad, pad)
         })
         .collect();
     let grad_out = (0..k_s)
-        .map(|_| random_plane(oh, ow, sparsity.gradient, false, rng))
+        .map(|_| sparsify::random_csr_with_sparsity(oh, ow, sparsity.gradient, rng))
         .collect();
 
+    let trace = ConvTrace::try_from_planes(&spec.name, spec.stride, weights, activations, grad_out)
+        .unwrap_or_else(|e| panic!("layer spec {:?}: {e}", spec.name));
     SynthesizedLayer {
-        trace: ConvTrace::from_planes(&spec.name, spec.stride, weights, activations, grad_out),
+        trace,
         channel_scale: (spec.out_channels * spec.in_channels) as f64 / (k_s * c_s) as f64,
     }
 }
@@ -106,36 +119,10 @@ pub fn synthesize_matmul<R: Rng>(
     rng: &mut R,
 ) -> (CsrMatrix, CsrMatrix) {
     let image =
-        sparsify::random_with_sparsity(shape.image_h(), shape.image_w(), image_sparsity, rng);
+        sparsify::random_csr_with_sparsity(shape.image_h(), shape.image_w(), image_sparsity, rng);
     let kernel =
-        sparsify::random_with_sparsity(shape.kernel_r(), shape.kernel_s(), kernel_sparsity, rng);
-    (
-        CsrMatrix::from_dense(&image),
-        CsrMatrix::from_dense(&kernel),
-    )
-}
-
-fn random_plane<R: Rng>(
-    rows: usize,
-    cols: usize,
-    sparsity: f64,
-    nonnegative: bool,
-    rng: &mut R,
-) -> DenseMatrix {
-    let plane = sparsify::random_with_sparsity(rows, cols, sparsity, rng);
-    if nonnegative {
-        plane.map(f32::abs)
-    } else {
-        plane
-    }
-}
-
-fn pad_plane(interior: &DenseMatrix, pad: usize, ph: usize, pw: usize) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(ph, pw);
-    for (r, c, v) in interior.iter_nonzero() {
-        out[(r + pad, c + pad)] = v;
-    }
-    out
+        sparsify::random_csr_with_sparsity(shape.kernel_r(), shape.kernel_s(), kernel_sparsity, rng);
+    (image, kernel)
 }
 
 #[cfg(test)]
@@ -155,8 +142,8 @@ mod tests {
         let s = synthesize_layer(&spec_small(), &LayerSparsity::uniform(0.9), 16, &mut rng);
         assert_eq!(s.trace.out_channels(), 8);
         assert_eq!(s.trace.in_channels(), 4);
-        assert_eq!(s.trace.activations[0].shape(), (18, 18));
-        assert_eq!(s.trace.grad_out[0].shape(), (16, 16));
+        assert_eq!(s.trace.activation(0).shape(), (18, 18));
+        assert_eq!(s.trace.gradient(0).shape(), (16, 16));
         assert_eq!(s.channel_scale, 1.0);
     }
 
@@ -193,8 +180,9 @@ mod tests {
     fn activations_are_nonnegative_with_zero_border() {
         let mut rng = StdRng::seed_from_u64(4);
         let s = synthesize_layer(&spec_small(), &LayerSparsity::uniform(0.3), 4, &mut rng);
-        for plane in &s.trace.activations {
-            assert!(plane.iter_nonzero().all(|(_, _, v)| v > 0.0));
+        for c in 0..s.trace.in_channels() {
+            let plane = s.trace.activation(c);
+            assert!(plane.iter().all(|(_, _, v)| v > 0.0));
             // Border is zero (padding).
             for c in 0..plane.cols() {
                 assert_eq!(plane.get(0, c), 0.0);
@@ -225,13 +213,146 @@ mod tests {
         assert!((image.sparsity() - 0.9).abs() < 0.01);
     }
 
+    /// The dense path the CSR synthesis replaced, kept here as its
+    /// reference: each plane scattered into a dense matrix, the padding
+    /// copied into a larger one, and each phase's planes converted with
+    /// `CsrMatrix::from_dense` after a dense rotation, dilation and pad.
+    mod dense_reference {
+        use ant_conv::dense as cdense;
+        use ant_conv::efficiency::TrainingPhase;
+        use ant_conv::ConvShape;
+        use ant_nn::trace::ConvPair;
+        use ant_sparse::{CsrMatrix, DenseMatrix};
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
+        use crate::models::ConvLayerSpec;
+
+        fn random_with_nnz<R: Rng>(rows: usize, cols: usize, nnz: usize, rng: &mut R) -> DenseMatrix {
+            let mut positions: Vec<usize> = (0..rows * cols).collect();
+            positions.shuffle(rng);
+            let mut out = DenseMatrix::zeros(rows, cols);
+            for &p in positions.iter().take(nnz) {
+                let mut v = 0.0f32;
+                while v == 0.0 {
+                    v = rng.gen_range(-1.0f32..1.0f32);
+                }
+                out.as_mut_slice()[p] = v;
+            }
+            out
+        }
+
+        fn random_plane<R: Rng>(rows: usize, cols: usize, sparsity: f64, rng: &mut R) -> DenseMatrix {
+            let nnz = ((1.0 - sparsity) * (rows * cols) as f64).round() as usize;
+            random_with_nnz(rows, cols, nnz, rng)
+        }
+
+        fn pad_plane(interior: &DenseMatrix, pad: usize, ph: usize, pw: usize) -> DenseMatrix {
+            let mut out = DenseMatrix::zeros(ph, pw);
+            for (r, c, v) in interior.iter_nonzero() {
+                out[(r + pad, c + pad)] = v;
+            }
+            out
+        }
+
+        /// Every phase's `(kernel, image, shape)` pairs, `(k, c)` order.
+        pub(super) fn pairs<R: Rng>(
+            spec: &ConvLayerSpec,
+            sparsity: f64,
+            max_channels: usize,
+            rng: &mut R,
+        ) -> Vec<(TrainingPhase, Vec<ConvPair>)> {
+            let (k_s, c_s) = (spec.out_channels.min(max_channels), spec.in_channels.min(max_channels));
+            let (oh, ow) = spec.output_dims();
+            let pad = spec.padding;
+            let (ph, pw) = (spec.input_h + 2 * pad, spec.input_w + 2 * pad);
+            let weights: Vec<Vec<DenseMatrix>> = (0..k_s)
+                .map(|_| {
+                    (0..c_s)
+                        .map(|_| random_plane(spec.kernel_h, spec.kernel_w, sparsity, rng))
+                        .collect()
+                })
+                .collect();
+            let activations: Vec<DenseMatrix> = (0..c_s)
+                .map(|_| {
+                    let interior = random_plane(spec.input_h, spec.input_w, sparsity, rng).map(f32::abs);
+                    pad_plane(&interior, pad, ph, pw)
+                })
+                .collect();
+            let grads: Vec<DenseMatrix> = (0..k_s).map(|_| random_plane(oh, ow, sparsity, rng)).collect();
+            let (r, s) = (spec.kernel_h, spec.kernel_w);
+            let forward = ConvShape::with_output(r, s, ph, pw, spec.stride, 1, oh, ow).unwrap();
+            let update = ConvShape::with_output(oh, ow, ph, pw, 1, spec.stride, r, s).unwrap();
+            let mut out = vec![
+                (TrainingPhase::Forward, Vec::new()),
+                (TrainingPhase::Backward, Vec::new()),
+                (TrainingPhase::Update, Vec::new()),
+            ];
+            for k in 0..k_s {
+                let dilated = cdense::dilate(&grads[k], spec.stride);
+                let padded = cdense::pad(&dilated, r - 1, s - 1);
+                let backward = ConvShape::new(r, s, padded.rows(), padded.cols(), 1).unwrap();
+                for c in 0..c_s {
+                    let pair = |kernel: &DenseMatrix, image: &DenseMatrix, shape| ConvPair {
+                        kernel: CsrMatrix::from_dense(kernel),
+                        image: CsrMatrix::from_dense(image),
+                        shape,
+                    };
+                    out[0].1.push(pair(&weights[k][c], &activations[c], forward));
+                    out[1].1.push(pair(&weights[k][c].rotate180(), &padded, backward));
+                    out[2].1.push(pair(&grads[k], &activations[c], update));
+                }
+            }
+            out
+        }
+    }
+
+    /// The CSR synthesis and every phase's borrowed pairs equal
+    /// `from_dense` of the dense path, over seeded random geometries:
+    /// padding 0-3, stride 1-3, 1x1 to 7x7 kernels, and channel counts
+    /// below and above `max_channels`.
+    #[test]
+    fn csr_synthesis_equals_the_dense_path() {
+        let mut specs = StdRng::seed_from_u64(0x5EED);
+        for case in 0..160 {
+            let kernel = [1usize, 3, 5, 7][case % 4];
+            let stride = specs.gen_range(1usize..4);
+            let padding = specs.gen_range(0usize..4);
+            let input = specs.gen_range(kernel.saturating_sub(2 * padding).max(1)..kernel + 14);
+            let out_c = specs.gen_range(1usize..7);
+            let in_c = specs.gen_range(1usize..7);
+            let max_channels = specs.gen_range(1usize..6);
+            let sparsity = [0.0, 0.5, 0.9, 0.99, specs.gen_range(0.0..1.0)][case % 5];
+            let spec = ConvLayerSpec::new("case", out_c, in_c, kernel, input, stride, padding, 1);
+            let seed = specs.gen_range(0u64..u64::MAX);
+            let synth = synthesize_layer(
+                &spec,
+                &LayerSparsity::uniform(sparsity),
+                max_channels,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let expected =
+                dense_reference::pairs(&spec, sparsity, max_channels, &mut StdRng::seed_from_u64(seed));
+            for (phase, pairs) in &expected {
+                let trace = &synth.trace;
+                assert_eq!(trace.pair_count(), pairs.len(), "case {case} {spec:?}");
+                for (i, (kernel, image, shape)) in trace.pairs(*phase).enumerate() {
+                    let p = &pairs[i];
+                    assert!(
+                        (kernel, image, shape) == (&p.kernel, &p.image, &p.shape),
+                        "case {case} {spec:?} {phase} pair {i} differs"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         let s1 = synthesize_layer(&spec_small(), &LayerSparsity::uniform(0.7), 4, &mut a);
         let s2 = synthesize_layer(&spec_small(), &LayerSparsity::uniform(0.7), 4, &mut b);
-        assert_eq!(s1.trace.weights[0][0], s2.trace.weights[0][0]);
-        assert_eq!(s1.trace.grad_out[0], s2.trace.grad_out[0]);
+        assert_eq!(s1.trace, s2.trace);
     }
 }

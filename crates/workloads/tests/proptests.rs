@@ -34,7 +34,7 @@ proptest! {
         prop_assert_eq!(t.out_channels(), spec.out_channels.min(3));
         prop_assert_eq!(t.in_channels(), spec.in_channels.min(3));
         let (oh, ow) = spec.output_dims();
-        prop_assert_eq!(t.grad_out[0].shape(), (oh, ow));
+        prop_assert_eq!(t.gradient(0).shape(), (oh, ow));
         // All three phase pair sets construct.
         prop_assert!(t.forward_pairs().is_ok());
         prop_assert!(t.backward_pairs().is_ok());
@@ -51,8 +51,9 @@ proptest! {
     fn activations_are_relu_like(spec in layer_spec(), seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let synth = synthesize_layer(&spec, &LayerSparsity::uniform(0.5), 2, &mut rng);
-        for plane in &synth.trace.activations {
-            prop_assert!(plane.iter_nonzero().all(|(_, _, v)| v > 0.0));
+        for c in 0..synth.trace.in_channels() {
+            let plane = synth.trace.activation(c);
+            prop_assert!(plane.iter().all(|(_, _, v)| v > 0.0));
             if spec.padding > 0 {
                 for c in 0..plane.cols() {
                     prop_assert_eq!(plane.get(0, c), 0.0);

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run -p ant-bench --release --example trace_replay`
 
+use ant_bench::runner::simulate_trace;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::ReSpropSparsifier;
@@ -18,15 +19,7 @@ use ant_workloads::trace_io;
 fn simulate(machine: &impl ConvSim, traces: &[ant_nn::ConvTrace]) -> SimStats {
     let mut total = SimStats::default();
     for trace in traces {
-        for pairs in [
-            trace.forward_pairs().expect("valid trace"),
-            trace.backward_pairs().expect("valid trace"),
-            trace.update_pairs().expect("valid trace"),
-        ] {
-            for p in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-            }
-        }
+        total.accumulate(&simulate_trace(machine, trace));
     }
     total
 }

@@ -1,5 +1,6 @@
 //! Cross-crate integration: real backprop traces drive the simulators.
 
+use ant_bench::runner::simulate_trace;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::{ReSpropSparsifier, SwatSparsifier};
@@ -24,15 +25,7 @@ fn train_and_capture(mode: &mut SparseMode, steps: usize, seed: u64) -> Vec<Conv
 fn simulate(machine: &impl ConvSim, traces: &[ConvTrace]) -> SimStats {
     let mut total = SimStats::default();
     for trace in traces {
-        for pairs in [
-            trace.forward_pairs().unwrap(),
-            trace.backward_pairs().unwrap(),
-            trace.update_pairs().unwrap(),
-        ] {
-            for p in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-            }
-        }
+        total.accumulate(&simulate_trace(machine, trace));
     }
     total
 }
@@ -116,8 +109,12 @@ fn trace_pairs_reproduce_forward_computation() {
         let mut expected = ant_sparse::DenseMatrix::zeros(shape.out_h(), shape.out_w());
         for c in 0..trace.in_channels() {
             let partial =
-                ant_conv::dense::conv2d(&trace.weights[0][c], &trace.activations[c], &shape)
-                    .unwrap();
+                ant_conv::dense::conv2d(
+                    &trace.weight(0, c).to_dense(),
+                    &trace.activation(c).to_dense(),
+                    &shape,
+                )
+                .unwrap();
             for (r, col, v) in partial.iter_nonzero() {
                 expected[(r, col)] += v;
             }
