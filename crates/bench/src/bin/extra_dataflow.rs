@@ -17,7 +17,10 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), ant_conv::ConvError> {
     let ant = Anticipator::new(AntConfig::paper_default());
-    let mut exp = Experiment::start("extra_dataflow", "Extra: dataflow comparison at 90% sparsity");
+    let mut exp = Experiment::start(
+        "extra_dataflow",
+        "Extra: dataflow comparison at 90% sparsity",
+    );
     exp.config("sparsity", 0.9).config("seed", 0xDFu64);
     println!();
     let mut table = Table::new(&[

@@ -22,7 +22,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut exp = Experiment::start("extra_minimum_mults", "Extra: executed multiplications vs the useful-products floor");
+    let mut exp = Experiment::start(
+        "extra_minimum_mults",
+        "Extra: executed multiplications vs the useful-products floor",
+    );
     exp.config("sparsity", 0.9).config("seed", 0x313u64);
     println!();
     let spec = ConvLayerSpec::new("3x3/32x32", 4, 4, 3, 32, 1, 1, 1);

@@ -19,8 +19,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut exp = Experiment::start("extra_pattern_sensitivity", "Extra: sparsity-pattern sensitivity (update-phase 32x32 (*) 34x34)");
-    exp.config("seed", 0xBA7u64).config("sparsities", "0.8,0.9,0.95");
+    let mut exp = Experiment::start(
+        "extra_pattern_sensitivity",
+        "Extra: sparsity-pattern sensitivity (update-phase 32x32 (*) 34x34)",
+    );
+    exp.config("seed", 0xBA7u64)
+        .config("sparsities", "0.8,0.9,0.95");
     println!();
     let shape = ConvShape::new(32, 32, 34, 34, 1).expect("valid shape");
     let scnn = ScnnPlus::paper_default();

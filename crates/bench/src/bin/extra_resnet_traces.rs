@@ -27,7 +27,10 @@ fn main() {
     let mut traces = Vec::new();
     let _ = net.train_step(&batch, 0.03, Some(&mut traces));
 
-    let mut exp = Experiment::start("extra_resnet_traces", &format!("Extra: residual-network (conv-BN-ReLU + skip) traces, loss@25 = {last_loss:.3}"));
+    let mut exp = Experiment::start(
+        "extra_resnet_traces",
+        &format!("Extra: residual-network (conv-BN-ReLU + skip) traces, loss@25 = {last_loss:.3}"),
+    );
     exp.config("train_steps", 25u64)
         .config("seed", 2026u64)
         .config("final_loss", last_loss);

@@ -8,8 +8,8 @@ use ant_bench::checkpoint::CheckpointFile;
 use ant_bench::obs::Experiment;
 use ant_bench::report::{geomean, percent, ratio, Table};
 use ant_bench::runner::{
-    energy_ratio, speedup, try_simulate_network_parallel, try_simulate_network_parallel_checkpointed,
-    ExperimentConfig, NetworkResult, RunOptions,
+    energy_ratio, speedup, try_simulate_network_parallel,
+    try_simulate_network_parallel_checkpointed, ExperimentConfig, NetworkResult, RunOptions,
 };
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;

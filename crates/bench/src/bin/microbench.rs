@@ -46,7 +46,9 @@ fn main() -> ExitCode {
         Err(e) => return fail(&e),
     };
     let path = match take_flag(&mut args, "--file") {
-        Ok(v) => v.map(PathBuf::from).unwrap_or_else(|| PathBuf::from(DEFAULT_LEDGER)),
+        Ok(v) => v
+            .map(PathBuf::from)
+            .unwrap_or_else(|| PathBuf::from(DEFAULT_LEDGER)),
         Err(e) => return fail(&e),
     };
     let filter = match take_flag(&mut args, "--filter") {
@@ -73,7 +75,10 @@ fn main() -> ExitCode {
     }
     let results = kernels::run_benches(benches, repeats);
 
-    println!("{:<24} {:>6} {:>12} {:>8}", "kernel", "case", "ns/op", "spread");
+    println!(
+        "{:<24} {:>6} {:>12} {:>8}",
+        "kernel", "case", "ns/op", "spread"
+    );
     for r in &results {
         println!(
             "{:<24} {:>6} {:>12.1} {:>7.1}%",

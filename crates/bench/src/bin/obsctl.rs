@@ -78,8 +78,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let [file] = args.as_slice() else {
         return Err(format!("trace wants exactly one FILE, got {args:?}"));
     };
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let report = trace::analyze(&text, &filter);
     if json {
         println!("{}", trace::to_json(&report, top));
@@ -104,7 +103,9 @@ fn cmd_flame(args: &[String]) -> Result<(), String> {
     let top = take_parsed(&mut args, "--top", 30usize)?;
     let json = take_switch(&mut args, "--json");
     let [a, b] = args.as_slice() else {
-        return Err(format!("flame diff wants exactly two .folded files, got {args:?}"));
+        return Err(format!(
+            "flame diff wants exactly two .folded files, got {args:?}"
+        ));
     };
     let report = flame::diff(
         &flame::FoldedProfile::parse(&read(a)?),
@@ -131,8 +132,7 @@ fn cmd_redundancy(args: &[String]) -> Result<(), String> {
     let [file] = args.as_slice() else {
         return Err(format!("redundancy wants exactly one FILE, got {args:?}"));
     };
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let report = redundancy::analyze(&text, &filter);
     if report.rows_matched == 0 && report.lines_skipped > 0 {
         return Err(format!(
@@ -158,8 +158,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
     let [file] = args.as_slice() else {
         return Err(format!("cache wants exactly one MANIFEST, got {args:?}"));
     };
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let report = cache::analyze(&text, &filter).map_err(|e| format!("{file}: {e}"))?;
     if json {
         println!("{}", cache::to_json(&report));

@@ -33,8 +33,8 @@ use ant_sim::ant::AntAccelerator;
 use ant_sim::dst::DstAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::intersection::IntersectionAccelerator;
-use ant_sim::scnn::ScnnPlus;
 use ant_sim::schedule::{schedule_lpt, Schedule};
+use ant_sim::scnn::ScnnPlus;
 use ant_sim::{ConvSim, CycleBreakdown, CycleCause};
 use ant_workloads::models;
 use ant_workloads::models::NetworkModel;
@@ -291,7 +291,10 @@ fn main() {
     let sidecar = timeline::output_path(&format!("profile_{workload_name}"));
     match timeline.write_to(&sidecar) {
         Ok(()) => {
-            println!("\nperfetto: {} (open at https://ui.perfetto.dev)", sidecar.display());
+            println!(
+                "\nperfetto: {} (open at https://ui.perfetto.dev)",
+                sidecar.display()
+            );
             exp.manifest().output(sidecar.display().to_string());
         }
         Err(err) => eprintln!("perfetto write failed: {err}"),

@@ -43,7 +43,10 @@ fn main() {
         }
         table.push_row(vec![
             format!("{size}x{size}"),
-            format!("{:.0}", a_total.mults as f64 / synth.trace.pair_count() as f64),
+            format!(
+                "{:.0}",
+                a_total.mults as f64 / synth.trace.pair_count() as f64
+            ),
             ratio(s_total.total_cycles() as f64 / a_total.total_cycles() as f64),
             percent(a_total.startup_cycles as f64 / a_total.total_cycles().max(1) as f64),
         ]);

@@ -211,7 +211,10 @@ impl HistoryEntry {
 ///
 /// Propagates open/write failures.
 pub fn append(path: &Path, entry: &HistoryEntry) -> io::Result<()> {
-    let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     file.write_all(entry.to_json_line().as_bytes())?;
     file.write_all(b"\n")
 }
@@ -268,11 +271,7 @@ pub fn load_lenient(path: &Path) -> io::Result<(Vec<HistoryEntry>, usize)> {
             Ok(entry) => out.push(entry),
             Err(e) => {
                 skipped += 1;
-                eprintln!(
-                    "bench_history: skipping {}:{}: {e}",
-                    path.display(),
-                    i + 1
-                );
+                eprintln!("bench_history: skipping {}:{}: {e}", path.display(), i + 1);
             }
         }
     }
@@ -604,7 +603,13 @@ impl CompareReport {
             } else {
                 "ok"
             };
-            let num = |v: f64| if v.is_finite() { format!("{v}") } else { "null".to_string() };
+            let num = |v: f64| {
+                if v.is_finite() {
+                    format!("{v}")
+                } else {
+                    "null".to_string()
+                }
+            };
             let _ = write!(
                 out,
                 ",\"class\":\"{}\",\"baseline\":{},\"candidate\":{},\"rel_change\":{},\"gate\":{},\"status\":\"{status}\"",
@@ -826,7 +831,9 @@ pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
     // earlier process left behind); the override is restored to the
     // environment default before returning.
     if set.warm_cache() {
-        simcache::set_override(simcache::CacheOverride::On(simcache::SimCacheConfig::default()));
+        simcache::set_override(simcache::CacheOverride::On(
+            simcache::SimCacheConfig::default(),
+        ));
     }
     let mut metrics = BTreeMap::new();
     for net in set.networks() {
@@ -892,10 +899,7 @@ pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
         if set.warm_cache() {
             // Informational (never gated): proves the timed repeats really
             // were served from the cache, per network.
-            metrics.insert(
-                key("cache_hits"),
-                (s.cache_hits + a.cache_hits) as f64,
-            );
+            metrics.insert(key("cache_hits"), (s.cache_hits + a.cache_hits) as f64);
         }
     }
     if set.warm_cache() {
@@ -923,10 +927,7 @@ mod tests {
             git_revision: Some("deadbeef0123".to_string()),
             timestamp_unix_ms: 1_700_000_000_000,
             repeats: 3,
-            metrics: metrics
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
+            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         }
     }
 
@@ -960,9 +961,15 @@ mod tests {
         assert_eq!(s(&runs[0], "git_revision").as_deref(), Some("deadbeef0123"));
         assert_eq!(runs[1].get("index").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(s(&runs[1], "label").as_deref(), Some("tiny"));
-        assert!(runs[1].get("git_revision").is_some(), "null revision key kept");
+        assert!(
+            runs[1].get("git_revision").is_some(),
+            "null revision key kept"
+        );
         assert_eq!(s(&runs[1], "git_revision"), None);
-        assert_eq!(runs[1].get("metric_count").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(
+            runs[1].get("metric_count").and_then(|v| v.as_u64()),
+            Some(1)
+        );
     }
 
     #[test]
@@ -1022,7 +1029,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_schema() {
-        let line = r#"{"schema":"other/9","label":"x","timestamp_unix_ms":0,"repeats":1,"metrics":{}}"#;
+        let line =
+            r#"{"schema":"other/9","label":"x","timestamp_unix_ms":0,"repeats":1,"metrics":{}}"#;
         assert!(HistoryEntry::parse(line).unwrap_err().contains("schema"));
     }
 
@@ -1035,7 +1043,10 @@ mod tests {
         assert_eq!(classify("net/allocs"), MetricClass::Noisy);
         assert_eq!(classify("net/ant_energy_uj"), MetricClass::NoteOnly);
         assert_eq!(classify("net/wall_us_spread"), MetricClass::InfoOnly);
-        assert_eq!(classify("net/effectual_macs_per_sec"), MetricClass::InfoOnly);
+        assert_eq!(
+            classify("net/effectual_macs_per_sec"),
+            MetricClass::InfoOnly
+        );
         assert_eq!(
             classify("kernel/bitmask_and_count/s90/ns_per_op"),
             MetricClass::Kernel
@@ -1062,8 +1073,14 @@ mod tests {
         assert_eq!(regs[0].class, MetricClass::Kernel);
         assert_eq!(regs[0].class.name(), "kernel");
         // A recorded spread wider than the static floor widens the gate.
-        let noisy_base = entry(&[(name, 100.0), ("kernel/fnir_scan/s90/ns_per_op_spread", 0.50)]);
-        let noisy_cand = entry(&[(name, 140.0), ("kernel/fnir_scan/s90/ns_per_op_spread", 0.01)]);
+        let noisy_base = entry(&[
+            (name, 100.0),
+            ("kernel/fnir_scan/s90/ns_per_op_spread", 0.50),
+        ]);
+        let noisy_cand = entry(&[
+            (name, 140.0),
+            ("kernel/fnir_scan/s90/ns_per_op_spread", 0.01),
+        ]);
         assert!(!compare(&noisy_base, &noisy_cand, DEFAULT_THRESHOLD).has_regressions());
     }
 
@@ -1077,8 +1094,7 @@ mod tests {
         let mut cand = base.clone();
         cand.metrics
             .insert("vgg16/ant_cycles".to_string(), 1_100_000.0); // +10%: regressed
-        cand.metrics
-            .insert("vgg16/alloc_bytes".to_string(), 5e6); // only in candidate
+        cand.metrics.insert("vgg16/alloc_bytes".to_string(), 5e6); // only in candidate
         let report = compare(&base, &cand, DEFAULT_THRESHOLD);
         let json = ant_obs::parse_json(&report.to_json()).expect("valid JSON");
         assert_eq!(
@@ -1099,15 +1115,27 @@ mod tests {
                 .expect("metric present")
         };
         let cycles = by_name("vgg16/ant_cycles");
-        assert_eq!(cycles.get("status").and_then(|s| s.as_str()), Some("regressed"));
+        assert_eq!(
+            cycles.get("status").and_then(|s| s.as_str()),
+            Some("regressed")
+        );
         assert_eq!(cycles.get("class").and_then(|s| s.as_str()), Some("cycles"));
-        assert_eq!(cycles.get("candidate").and_then(|v| v.as_f64()), Some(1_100_000.0));
+        assert_eq!(
+            cycles.get("candidate").and_then(|v| v.as_f64()),
+            Some(1_100_000.0)
+        );
         let kern = by_name("kernel/fnir_scan/s90/ns_per_op");
         assert_eq!(kern.get("class").and_then(|s| s.as_str()), Some("kernel"));
         assert_eq!(kern.get("status").and_then(|s| s.as_str()), Some("ok"));
-        assert_eq!(kern.get("gate").and_then(|v| v.as_f64()), Some(KERNEL_NOISE_FLOOR));
+        assert_eq!(
+            kern.get("gate").and_then(|v| v.as_f64()),
+            Some(KERNEL_NOISE_FLOOR)
+        );
         let energy = by_name("vgg16/ant_energy_uj");
-        assert_eq!(energy.get("status").and_then(|s| s.as_str()), Some("ungated"));
+        assert_eq!(
+            energy.get("status").and_then(|s| s.as_str()),
+            Some("ungated")
+        );
         let missing = json
             .get("missing")
             .and_then(|m| m.as_array())

@@ -208,7 +208,11 @@ impl KernelBench {
             best = best.min(ns);
             worst = worst.max(ns);
         }
-        let spread = if best > 0.0 { (worst - best) / best } else { 0.0 };
+        let spread = if best > 0.0 {
+            (worst - best) / best
+        } else {
+            0.0
+        };
         KernelMeasurement {
             ns_per_op: best,
             spread,
@@ -243,8 +247,12 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
 
         // Pair pre-screen: AND-popcount of two 128x128 role masks.
         let mut rng = StdRng::seed_from_u64(seed_for("bitmask_and_count", sparsity));
-        let a = Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
-        let b = Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
+        let a = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
+        let b = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
         benches.push(KernelBench::new(
             "bitmask_and_count",
             case.clone(),
@@ -256,10 +264,12 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
         // so the steady state times the word loop; the popcount checksum
         // keeps the stores observable).
         let mut rng = StdRng::seed_from_u64(seed_for("bitmask_and_assign", sparsity));
-        let mut scratch =
-            Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
-        let other =
-            Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
+        let mut scratch = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
+        let other = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
         benches.push(KernelBench::new(
             "bitmask_and_assign",
             case.clone(),
@@ -274,9 +284,8 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
         // kernel), paper-default 4x4 array with a 16-wide window, reusing
         // the KernelScan scratch exactly like the simulator hot path.
         let mut rng = StdRng::seed_from_u64(seed_for("fnir_scan", sparsity));
-        let kernel = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
-            64, 64, sparsity, &mut rng,
-        ));
+        let kernel =
+            CsrMatrix::from_dense(&sparsify::random_with_sparsity(64, 64, sparsity, &mut rng));
         let ranges = GroupRanges {
             r: IndexRange { min: 16, max: 47 },
             s: IndexRange { min: 16, max: 47 },
@@ -388,7 +397,8 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
                 layers
                     .iter()
                     .map(|layer| {
-                        let trace = synthesize_layer(layer, &sparsity, max_channels, &mut rng).trace;
+                        let trace =
+                            synthesize_layer(layer, &sparsity, max_channels, &mut rng).trace;
                         let (kernel, image, _) = trace.pair(TrainingPhase::Backward, 0, 0);
                         (kernel.nnz() + image.nnz() + trace.activation(0).nnz()) as u64
                     })
@@ -408,7 +418,12 @@ fn synth_layers() -> Vec<ConvLayerSpec> {
         .iter()
         .find(|l| l.input_h == 56 && l.kernel_h == 3)
         .cloned();
-    net.layers.first().cloned().into_iter().chain(first_56).collect()
+    net.layers
+        .first()
+        .cloned()
+        .into_iter()
+        .chain(first_56)
+        .collect()
 }
 
 /// The ResNet-50 stem's forward pair shape: a 7x7 kernel at stride 2 over

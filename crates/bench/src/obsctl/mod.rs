@@ -142,7 +142,10 @@ mod tests {
     #[test]
     fn take_flag_extracts_and_removes() {
         let mut args = vec!["--top".to_string(), "5".to_string(), "file".to_string()];
-        assert_eq!(take_flag(&mut args, "--top").unwrap(), Some("5".to_string()));
+        assert_eq!(
+            take_flag(&mut args, "--top").unwrap(),
+            Some("5".to_string())
+        );
         assert_eq!(args, vec!["file".to_string()]);
         assert_eq!(take_flag(&mut args, "--top").unwrap(), None);
         let mut dangling = vec!["--top".to_string()];

@@ -76,7 +76,11 @@ impl RedundancyRow {
         push_u64(&mut out, "mults", r.mults);
         push_str(&mut out, "network", &self.network);
         push_u64(&mut out, "pairs_total", r.pairs_total);
-        push_raw(&mut out, "partial", if self.partial { "true" } else { "false" });
+        push_raw(
+            &mut out,
+            "partial",
+            if self.partial { "true" } else { "false" },
+        );
         push_str(&mut out, "phase", self.phase.paper_name());
         push_f64(&mut out, "rcps_avoided_fraction", r.rcps_avoided_fraction());
         push_u64(&mut out, "rcps_executed", r.rcps_executed);
@@ -334,7 +338,10 @@ mod tests {
             assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
             // executed + skipped == total on every row.
             let get = |k: &str| doc.get(k).and_then(Json::as_u64).expect(k);
-            assert_eq!(get("rcps_executed") + get("rcps_skipped"), get("rcps_total"));
+            assert_eq!(
+                get("rcps_executed") + get("rcps_skipped"),
+                get("rcps_total")
+            );
             // Keys appear in sorted order in the raw line.
             let keys: Vec<&str> = line
                 .split('"')
@@ -357,7 +364,9 @@ mod tests {
             .find(|r| r.layer == "l1" && r.phase == TrainingPhase::Forward)
             .expect("l1 forward row");
         let shapes = TrainingPhases::for_layer(3, 3, 16, 16, 1, 1).unwrap();
-        let expected = shapes.shape(TrainingPhase::Forward).outer_product_efficiency();
+        let expected = shapes
+            .shape(TrainingPhase::Forward)
+            .outer_product_efficiency();
         assert_eq!(row.eq6_efficiency, Some(expected));
     }
 

@@ -264,7 +264,13 @@ mod tests {
         let mut t = Table::new(&["a", "b"]);
         assert!(t.try_push_row(vec!["1".into(), "2".into()]).is_ok());
         let err = t.try_push_row(vec!["only-one".into()]).unwrap_err();
-        assert_eq!(err, RowWidthError { expected: 2, actual: 1 });
+        assert_eq!(
+            err,
+            RowWidthError {
+                expected: 2,
+                actual: 1
+            }
+        );
         assert!(err.to_string().contains("2 columns"));
         // The bad row was dropped.
         assert_eq!(t.len(), 1);
@@ -297,7 +303,10 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("network").unwrap().as_str(), Some("vgg16"));
         assert_eq!(rows[0].get("speedup").unwrap().as_str(), Some("3.71x"));
-        assert_eq!(rows[1].get("network").unwrap().as_str(), Some("with \"quote\""));
+        assert_eq!(
+            rows[1].get("network").unwrap().as_str(),
+            Some("with \"quote\"")
+        );
     }
 
     #[test]

@@ -361,7 +361,8 @@ pub fn simulate_network<S: ConvSim + ?Sized>(
 ) -> NetworkResult {
     let started = Instant::now();
     let mut span = ant_obs::span("network");
-    span.record("network", net.name).record("machine", pe.name());
+    span.record("network", net.name)
+        .record("machine", pe.name());
     let mut result = NetworkResult::empty(net.name, pe.name());
     result.per_layer.reserve(net.layers.len());
     for (li, layer) in net.layers.iter().enumerate() {
@@ -1630,7 +1631,9 @@ fn merge<S: ConvSim + ?Sized>(
 /// the registry stay key-stable across thread counts.
 fn record_worker_metrics(workers: &[WorkerTelemetry]) {
     let registry = ant_obs::registry();
-    registry.gauge("runner.worker.count").set(workers.len() as f64);
+    registry
+        .gauge("runner.worker.count")
+        .set(workers.len() as f64);
     for t in workers {
         registry
             .histogram("runner.worker.executed")
@@ -1962,7 +1965,8 @@ pub fn simulate_matmul_layers<S: ant_sim::MatmulSim + ?Sized>(
     seed: u64,
 ) -> SimStats {
     let mut span = ant_obs::span("matmul_layers");
-    span.record("layers", layers.len()).record("sparsity", sparsity);
+    span.record("layers", layers.len())
+        .record("sparsity", sparsity);
     let mut total = SimStats::default();
     for (li, spec) in layers.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -2178,7 +2182,10 @@ mod tests {
             };
             let parallel = try_simulate_network_parallel(&pe, &net, &cfg, &opts).unwrap();
             assert_eq!(serial.total, parallel.total, "threads={threads}");
-            assert_eq!(serial.wall_cycles, parallel.wall_cycles, "threads={threads}");
+            assert_eq!(
+                serial.wall_cycles, parallel.wall_cycles,
+                "threads={threads}"
+            );
             assert_eq!(
                 serial.total.energy_pj(&energy),
                 parallel.total.energy_pj(&energy),
@@ -2259,7 +2266,10 @@ mod tests {
             }
             // Every job is executed exactly once, and the deal covers the
             // whole pool.
-            assert_eq!(workers.iter().map(|t| t.executed).sum::<u64>(), expected_jobs);
+            assert_eq!(
+                workers.iter().map(|t| t.executed).sum::<u64>(),
+                expected_jobs
+            );
             assert_eq!(workers.iter().map(|t| t.dealt).sum::<u64>(), expected_jobs);
             // Executed = dealt kept + stolen (globally).
             let stolen: u64 = workers.iter().map(|t| t.stolen).sum();
@@ -2289,8 +2299,8 @@ mod tests {
             telemetry: Some(true),
             ..RunOptions::default()
         };
-        let _ = try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts)
-            .unwrap();
+        let _ =
+            try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts).unwrap();
         let registry = ant_obs::registry();
         assert!(registry.histogram("runner.worker.executed").count() >= 2);
         assert!(registry.histogram("runner.worker.busy_us").count() >= 2);
@@ -2366,7 +2376,12 @@ mod tests {
             assert_eq!(t, ant_sim::Throughput::default());
         }
         // The run fed the host-metrics registry.
-        assert!(ant_obs::registry().histogram("runner.network_wall_us").count() > 0);
+        assert!(
+            ant_obs::registry()
+                .histogram("runner.network_wall_us")
+                .count()
+                > 0
+        );
     }
 
     #[test]

@@ -334,7 +334,10 @@ fn recover_spool(config: &SweepdConfig, state: &mut State) -> Result<(), AntErro
     }
     recovered_jobs.sort_by_key(|j| j.seq);
     let registry = ant_obs::registry();
-    let finished = recovered_jobs.iter().filter(|j| j.state.is_terminal()).count();
+    let finished = recovered_jobs
+        .iter()
+        .filter(|j| j.state.is_terminal())
+        .count();
     let mut older = finished.saturating_sub(RECENT_JOBS);
     for mut job in recovered_jobs {
         state.next_seq = state.next_seq.max(job.seq + 1);
@@ -578,7 +581,10 @@ fn mean_duration(st: &State) -> Option<u64> {
 fn jobs_json(inner: &Inner) -> String {
     let st = inner.lock();
     let mut out = String::with_capacity(256);
-    out.push_str(&format!("{{\"schema\":\"{JOBS_SCHEMA}\",\"queue_depth\":{},\"jobs\":[", st.queue.len()));
+    out.push_str(&format!(
+        "{{\"schema\":\"{JOBS_SCHEMA}\",\"queue_depth\":{},\"jobs\":[",
+        st.queue.len()
+    ));
     for (i, job) in st.jobs.values().enumerate() {
         if i > 0 {
             out.push(',');
@@ -719,8 +725,7 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                     .jobs
                     .values()
                     .filter(|j| {
-                        j.state == JobState::Queued
-                            && j.deadline_at_ms.is_some_and(|d| d <= now)
+                        j.state == JobState::Queued && j.deadline_at_ms.is_some_and(|d| d <= now)
                     })
                     .map(|j| j.seq)
                     .collect();
@@ -793,7 +798,9 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
     let registry = ant_obs::registry();
     let (spec, attempt, deadline_at) = {
         let mut st = inner.lock();
-        let Some(job) = st.jobs.get_mut(&seq) else { return };
+        let Some(job) = st.jobs.get_mut(&seq) else {
+            return;
+        };
         job.state = JobState::Running;
         let out = (
             job.spec.clone(),
@@ -1013,9 +1020,7 @@ fn execute_attempt(
             csv.push_str(&format!(",{value}"));
         }
         csv.push('\n');
-        jsonl.push_str(&format!(
-            "{{\"schema\":\"{RESULT_SCHEMA}\",\"network\":"
-        ));
+        jsonl.push_str(&format!("{{\"schema\":\"{RESULT_SCHEMA}\",\"network\":"));
         write_json_string(net.name, &mut jsonl);
         jsonl.push_str(",\"machine\":");
         write_json_string(machine.name(), &mut jsonl);
@@ -1049,7 +1054,9 @@ mod tests {
         // Different seeds jitter differently (with overwhelming likelihood
         // for these fixed inputs — pinned, not probabilistic).
         assert_ne!(
-            (1..=4).map(|n| backoff_ms(8, 42, n, 50)).collect::<Vec<_>>(),
+            (1..=4)
+                .map(|n| backoff_ms(8, 42, n, 50))
+                .collect::<Vec<_>>(),
             a
         );
     }

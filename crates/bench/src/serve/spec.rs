@@ -11,13 +11,13 @@
 //! a stable identity: checkpoints are keyed by it, which is what makes a
 //! re-submitted (or crash-recovered) job *resume* instead of restart.
 
+use ant_obs::json::{write_json_string, Json};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::dst::DstAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::intersection::IntersectionAccelerator;
 use ant_sim::scnn::ScnnPlus;
 use ant_sim::{AntError, ConvSim};
-use ant_obs::json::{write_json_string, Json};
 use ant_workloads::{models, ConvLayerSpec, LayerSparsity, NetworkModel};
 
 use crate::fingerprint::StableHasher;
@@ -94,15 +94,14 @@ impl JobSpec {
         let u64_field = |key: &'static str| -> Result<Option<u64>, AntError> {
             match json.get(key) {
                 None | Some(Json::Null) => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| AntError::invalid_config(key, "expected a non-negative integer")),
+                Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+                    AntError::invalid_config(key, "expected a non-negative integer")
+                }),
             }
         };
 
-        let tenant = str_field("tenant")?
-            .ok_or_else(|| AntError::invalid_config("tenant", "required"))?;
+        let tenant =
+            str_field("tenant")?.ok_or_else(|| AntError::invalid_config("tenant", "required"))?;
         if tenant.is_empty() || tenant.len() > 64 {
             return Err(AntError::invalid_config(
                 "tenant",
@@ -402,7 +401,10 @@ mod tests {
         for (body, field) in [
             ("not json", "body"),
             ("[]", "body"),
-            (r#"{"model":"tiny","machines":["ant"],"sparsities":[0.5]}"#, "tenant"),
+            (
+                r#"{"model":"tiny","machines":["ant"],"sparsities":[0.5]}"#,
+                "tenant",
+            ),
             (
                 r#"{"tenant":"a b","model":"tiny","machines":["ant"],"sparsities":[0.5]}"#,
                 "tenant",

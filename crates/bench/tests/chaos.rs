@@ -123,7 +123,10 @@ fn seeded_chaos_quarantines_exactly_the_injected_failures() {
         .iter()
         .map(|f| (f.layer_index, phase_index(f.phase), f.pair))
         .collect();
-    assert!(got.windows(2).all(|w| w[0] < w[1]), "report not sorted: {got:?}");
+    assert!(
+        got.windows(2).all(|w| w[0] < w[1]),
+        "report not sorted: {got:?}"
+    );
     assert_eq!(got.iter().copied().collect::<BTreeSet<_>>(), expected);
     assert_eq!(got.len(), expected.len());
     assert_eq!(run_a.failures.retries, expected_retries);
@@ -243,12 +246,12 @@ fn seeded_chaos_quarantines_exactly_the_injected_failures() {
 
     // With chaos cleared the same cache activation records every layer,
     // and the warm run serves all of them byte-identically.
-    let cache_cold = try_simulate_network_parallel(&pe, &net, &cfg, &opts)
-        .expect("clean cache run completes");
+    let cache_cold =
+        try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("clean cache run completes");
     assert_eq!(cache_cold.total, clean_serial.total);
     assert_eq!(cache_cold.cache_misses, net.layers.len() as u64);
-    let cache_warm = try_simulate_network_parallel(&pe, &net, &cfg, &opts)
-        .expect("warm cache run completes");
+    let cache_warm =
+        try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("warm cache run completes");
     assert_eq!(cache_warm.total, clean_serial.total);
     assert_eq!(cache_warm.cache_hits, net.layers.len() as u64);
     simcache::set_override(CacheOverride::Env);

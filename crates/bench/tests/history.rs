@@ -6,9 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use ant_bench::history::{
-    self, HistoryEntry, WorkloadSet, DEFAULT_THRESHOLD,
-};
+use ant_bench::history::{self, HistoryEntry, WorkloadSet, DEFAULT_THRESHOLD};
 
 fn temp_ledger(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ant-bench-history-tests");
@@ -40,7 +38,12 @@ fn record_tiny_produces_complete_entry() {
     // global allocator and record() enables it: alloc metrics must exist
     // and show real traffic.
     assert!(
-        entry.metrics.get("tiny/alloc_bytes").copied().unwrap_or(0.0) > 0.0,
+        entry
+            .metrics
+            .get("tiny/alloc_bytes")
+            .copied()
+            .unwrap_or(0.0)
+            > 0.0,
         "counting allocator saw no traffic: {:?}",
         entry.metrics
     );
@@ -150,9 +153,10 @@ fn median_window_gates_like_a_single_baseline() {
     let mut jitter = base.clone();
     // Wall-time noise across window entries must not leak into the median's
     // deterministic metrics.
-    jitter
-        .metrics
-        .insert("tiny/wall_us".to_string(), base.metrics["tiny/wall_us"] * 3.0);
+    jitter.metrics.insert(
+        "tiny/wall_us".to_string(),
+        base.metrics["tiny/wall_us"] * 3.0,
+    );
     let window = [&base, &jitter, &base];
     let median = history::median_of(&window);
     assert_eq!(

@@ -122,7 +122,11 @@ fn io_faults_degrade_to_fresh_runs_and_misses_never_wrong_results() {
     );
     let resumed = CheckpointFile::resume(&ckpt_path, &cfg).expect("resume after ENOSPC");
     assert_eq!(resumed.resumable_layers(), 0);
-    assert_eq!(resumed.ignored_lines(), 0, "ENOSPC must not corrupt the file");
+    assert_eq!(
+        resumed.ignored_lines(),
+        0,
+        "ENOSPC must not corrupt the file"
+    );
     drop(resumed);
 
     // --- Simcache torn writes ----------------------------------------------
@@ -146,7 +150,11 @@ fn io_faults_degrade_to_fresh_runs_and_misses_never_wrong_results() {
         net.layers.len() as u64
     );
     let stats = simcache::stats().expect("cache active");
-    assert_eq!(stats.entries, net.layers.len(), "in-memory entries stay exact");
+    assert_eq!(
+        stats.entries,
+        net.layers.len(),
+        "in-memory entries stay exact"
+    );
     assert_eq!(stats.dropped_writes, net.layers.len());
     // Fresh activation: reload from the torn file.
     simcache::set_override(CacheOverride::On(SimCacheConfig {
@@ -188,7 +196,10 @@ fn io_faults_degrade_to_fresh_runs_and_misses_never_wrong_results() {
     }));
     let stats = simcache::stats().expect("cache active");
     assert_eq!(stats.loaded, 0);
-    assert_eq!(stats.skipped_corrupt, 0, "ENOSPC must not corrupt the store");
+    assert_eq!(
+        stats.skipped_corrupt, 0,
+        "ENOSPC must not corrupt the store"
+    );
     simcache::set_override(CacheOverride::Env);
 
     let _ = std::fs::remove_dir_all(&tmp);

@@ -5,9 +5,7 @@
 //! environment variables (`ANT_PROGRESS_FILE`), which would race against
 //! sibling tests running in threads of the same binary.
 
-use ant_bench::runner::{
-    try_simulate_network_parallel, ExperimentConfig, RunOptions,
-};
+use ant_bench::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use ant_obs::json::Json;
 use ant_sim::scnn::ScnnPlus;
 use ant_workloads::models::NetworkModel;
@@ -45,7 +43,10 @@ fn progress_reporter_writes_final_status_file() {
 
     let body = std::fs::read_to_string(&status_path).expect("status file written");
     let json = ant_obs::parse_json(body.trim()).expect("status file is valid JSON");
-    assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+    assert_eq!(
+        json.get("schema").and_then(Json::as_str),
+        Some("ant-status/1")
+    );
     assert_eq!(json.get("state").and_then(Json::as_str), Some("done"));
     assert_eq!(json.get("network").and_then(Json::as_str), Some("tiny"));
     assert_eq!(json.get("machine").and_then(Json::as_str), Some("SCNN+"));
@@ -61,12 +62,21 @@ fn progress_reporter_writes_final_status_file() {
     assert!(json.get("elapsed_s").and_then(Json::as_f64).is_some());
     assert!(json.get("pairs_per_sec").and_then(Json::as_f64).is_some());
     assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(0.0));
-    assert!(json.get("updated_at_unix_ms").and_then(Json::as_u64).is_some());
+    assert!(json
+        .get("updated_at_unix_ms")
+        .and_then(Json::as_u64)
+        .is_some());
     // Build identity: the key is always present (a string in a git
     // checkout, null outside one); resumed_from only appears on resumed
     // runs, and this run started fresh.
-    assert!(json.get("git_revision").is_some(), "git_revision key present");
-    assert!(json.get("resumed_from").is_none(), "fresh run has no resumed_from");
+    assert!(
+        json.get("git_revision").is_some(),
+        "git_revision key present"
+    );
+    assert!(
+        json.get("resumed_from").is_none(),
+        "fresh run has no resumed_from"
+    );
     // Keys after `schema` are sorted, for stable diffs.
     let mut in_text: Vec<(usize, &str)> = json
         .as_object()
@@ -116,8 +126,8 @@ fn progress_reporter_writes_final_status_file() {
         progress: Some(false),
         ..RunOptions::default()
     };
-    let _ = try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts_off)
-        .unwrap();
+    let _ =
+        try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts_off).unwrap();
     assert!(!status_path.exists(), "progress off must not write status");
 
     std::env::remove_var("ANT_PROGRESS_FILE");

@@ -74,7 +74,13 @@ fn invalid_configs_come_back_as_typed_errors() {
     zero_pes.num_pes = 0;
     let err = try_simulate_network_parallel(&pe, &net, &zero_pes, &opts).unwrap_err();
     assert!(
-        matches!(err, AntError::InvalidConfig { param: "num_pes", .. }),
+        matches!(
+            err,
+            AntError::InvalidConfig {
+                param: "num_pes",
+                ..
+            }
+        ),
         "{err}"
     );
 
@@ -82,7 +88,13 @@ fn invalid_configs_come_back_as_typed_errors() {
     bad_sparsity.sparsity.weight = 1.5;
     let err = try_simulate_network_parallel(&pe, &net, &bad_sparsity, &opts).unwrap_err();
     assert!(
-        matches!(err, AntError::InvalidConfig { param: "sparsity.weight", .. }),
+        matches!(
+            err,
+            AntError::InvalidConfig {
+                param: "sparsity.weight",
+                ..
+            }
+        ),
         "{err}"
     );
 
@@ -130,9 +142,8 @@ fn checkpointed_sweep_resumes_byte_identically() {
     {
         let mut file = CheckpointFile::create(&path, &cfg).expect("create checkpoint");
         let mut scope = file.scope(net.name, "SCNN+");
-        let first =
-            try_simulate_network_parallel_checkpointed(&pe, &net, &cfg, &opts, &mut scope)
-                .expect("checkpointed run");
+        let first = try_simulate_network_parallel_checkpointed(&pe, &net, &cfg, &opts, &mut scope)
+            .expect("checkpointed run");
         assert_same_result(&serial, &first, "checkpointed first pass");
     }
 

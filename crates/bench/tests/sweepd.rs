@@ -25,7 +25,8 @@ use ant_workloads::{ConvLayerSpec, NetworkModel};
 
 /// The spec shared by the determinism phases: every daemon that runs it
 /// must produce byte-identical result files.
-const SPEC_ALICE: &str = r#"{"tenant":"alice","model":"tiny","machines":["ant"],"sparsities":[0.9]}"#;
+const SPEC_ALICE: &str =
+    r#"{"tenant":"alice","model":"tiny","machines":["ant"],"sparsities":[0.9]}"#;
 const SPEC_BOB: &str = r#"{"tenant":"bob","model":"tiny","machines":["ant"],"sparsities":[0.9]}"#;
 
 fn counter(name: &str) -> u64 {
@@ -89,7 +90,10 @@ fn wait_state(base: &str, seq: u64, states: &[&str]) -> Json {
 fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     while !ready() {
-        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 }
@@ -104,7 +108,10 @@ fn spooled_state(spool: &std::path::Path, seq: u64) -> Option<String> {
 /// The external id from a `202` submission body.
 fn submitted_id(body: &str) -> String {
     let doc = ant_obs::parse_json(body.trim()).expect("submission body parses");
-    doc.get("id").and_then(Json::as_str).expect("id").to_string()
+    doc.get("id")
+        .and_then(Json::as_str)
+        .expect("id")
+        .to_string()
 }
 
 fn state_of(doc: &Json) -> &str {
@@ -233,8 +240,16 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
             std::fs::read_to_string(spool.join(format!("job-{seq}.result.{ext}")))
                 .expect("result file exists")
         };
-        assert_eq!(read(1, "csv"), alice_csv, "daemon CSV diverged from the runner");
-        assert_eq!(read(1, "csv"), read(2, "csv"), "tenants saw different results");
+        assert_eq!(
+            read(1, "csv"),
+            alice_csv,
+            "daemon CSV diverged from the runner"
+        );
+        assert_eq!(
+            read(1, "csv"),
+            read(2, "csv"),
+            "tenants saw different results"
+        );
         assert_eq!(read(1, "jsonl"), read(2, "jsonl"));
         // The job board renders through obsctl's jobs view.
         let (_, board) = get(&base, "/jobs");
@@ -304,11 +319,21 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         assert_eq!(code, 202);
         let doc = wait_terminal(&base, 1);
         chaos::set_override(None);
-        assert_eq!(state_of(&doc), "done", "job must survive one injected death");
+        assert_eq!(
+            state_of(&doc),
+            "done",
+            "job must survive one injected death"
+        );
         assert_eq!(counter("sweepd.job.retries") - retries_before, 1);
-        let attempts = doc.get("attempts").and_then(Json::as_array).expect("attempts");
+        let attempts = doc
+            .get("attempts")
+            .and_then(Json::as_array)
+            .expect("attempts");
         assert_eq!(attempts.len(), 1, "exactly one failed attempt");
-        let error = attempts[0].get("error").and_then(Json::as_str).expect("error");
+        let error = attempts[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error");
         assert!(error.contains("injected job-worker death"), "{error}");
         // The backoff is a pure function of (daemon seed, seq, attempt).
         let expected = backoff_ms(SweepdConfig::default().seed, 1, 1, 30);
@@ -423,7 +448,11 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         // The checkpoint survives the cancelled run; a deadline-free rerun
         // resumes and lands on the baseline bytes.
         let mut ckpt = CheckpointFile::resume(&path, &cfg).expect("resume again");
-        assert_eq!(ckpt.resumable_layers(), 1, "cancellation retained the sidecar");
+        assert_eq!(
+            ckpt.resumable_layers(),
+            1,
+            "cancellation retained the sidecar"
+        );
         let resumed = try_simulate_network_parallel_checkpointed(
             &pe,
             &full,
@@ -458,7 +487,10 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
     // also publishes its final status, and the job still ends on the
     // canonical bytes.
     {
-        assert!(SweepdConfig::default().progress, "progress is on by default");
+        assert!(
+            SweepdConfig::default().progress,
+            "progress is on by default"
+        );
         let spool = tmp.join("i");
         let (daemon, base) = start(SweepdConfig {
             progress: SweepdConfig::default().progress,
@@ -555,7 +587,11 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         assert_eq!(get(&base, "/jobs/1"), (200, before.clone()));
         let hash = id1.split('-').nth(1).expect("id carries the spec hash");
         assert_eq!(get(&base, &format!("/jobs/bob-{hash}-1")).0, 404);
-        let other_hash = if hash == "00000000" { "00000001" } else { "00000000" };
+        let other_hash = if hash == "00000000" {
+            "00000001"
+        } else {
+            "00000000"
+        };
         assert_eq!(get(&base, &format!("/jobs/alice-{other_hash}-1")).0, 404);
         assert_eq!(get(&base, &format!("/jobs/{}", total + 1)).0, 404);
         daemon.shutdown();

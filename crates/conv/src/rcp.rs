@@ -819,7 +819,10 @@ mod tests {
                 sparsity,
                 &mut rng,
             );
-            let (kernel, image) = (CsrMatrix::from_dense(&kernel), CsrMatrix::from_dense(&image));
+            let (kernel, image) = (
+                CsrMatrix::from_dense(&kernel),
+                CsrMatrix::from_dense(&image),
+            );
             assert_eq!(
                 count_useful_products_with(&kernel, &image, &shape, &mut scratch),
                 count_useful_products(&kernel, &image, &shape),

@@ -294,10 +294,7 @@ impl Anticipator {
     /// (`config.n`, `config.k`) is zero.
     pub fn try_new(config: AntConfig) -> Result<Self, crate::AntError> {
         let fnir = Fnir::new(config.n, config.k).map_err(|e| {
-            crate::AntError::invalid_config(
-                "fnir",
-                format!("n={} k={}: {e}", config.n, config.k),
-            )
+            crate::AntError::invalid_config("fnir", format!("n={} k={}: {e}", config.n, config.k))
         })?;
         Ok(Self { config, fnir })
     }
@@ -652,7 +649,9 @@ impl Anticipator {
         scratch: &mut AntScratch,
     ) -> Result<AntCounters, ConvError> {
         check_matmul_shapes(image, kernel, shape)?;
-        scratch.output.reset_zeroed(shape.image_h(), shape.kernel_s());
+        scratch
+            .output
+            .reset_zeroed(shape.image_h(), shape.kernel_s());
         let mut counters = self.matmul_group_ranges(kernel, image, scratch);
         for (group, ranges) in scratch.entries.chunks(self.config.n).zip(&scratch.ranges) {
             scan_kernel_matmul_into(kernel, ranges.r, self.config.n, &mut scratch.scan);
@@ -1212,7 +1211,10 @@ mod tests {
         let image = sparsify::random_with_sparsity(7, 9, 0.5, &mut rng);
         let kernel = sparsify::random_with_sparsity(9, 6, 0.5, &mut rng);
         let mshape = MatmulShape::new(7, 9, 9, 6).unwrap();
-        let (image, kernel) = (CsrMatrix::from_dense(&image), CsrMatrix::from_dense(&kernel));
+        let (image, kernel) = (
+            CsrMatrix::from_dense(&image),
+            CsrMatrix::from_dense(&kernel),
+        );
         let reference = ant.run_matmul(&image, &kernel, &mshape).unwrap();
         let counters = ant
             .run_matmul_with(&image, &kernel, &mshape, &mut scratch)

@@ -238,7 +238,10 @@ mod tests {
     #[test]
     fn display_carries_structured_context() {
         let e = AntError::invalid_config("num_pes", "must be at least 1 (got 0)");
-        assert_eq!(e.to_string(), "invalid config: num_pes: must be at least 1 (got 0)");
+        assert_eq!(
+            e.to_string(),
+            "invalid config: num_pes: must be at least 1 (got 0)"
+        );
         let e = AntError::invalid_operand("ANT", "kernel", "3x3 but shape wants 5x5");
         assert!(e.to_string().contains("ANT"));
         assert!(e.to_string().contains("kernel"));
@@ -247,8 +250,8 @@ mod tests {
 
     #[test]
     fn panic_payloads_are_preserved() {
-        let caught = std::panic::catch_unwind(|| panic!("chaos: injected"))
-            .expect_err("must panic");
+        let caught =
+            std::panic::catch_unwind(|| panic!("chaos: injected")).expect_err("must panic");
         let e = AntError::from_panic("pair job layer=0", caught.as_ref());
         match &e {
             AntError::Panic { context, message } => {
@@ -257,8 +260,8 @@ mod tests {
             }
             other => panic!("wrong variant {other:?}"),
         }
-        let caught = std::panic::catch_unwind(|| std::panic::panic_any(42u32))
-            .expect_err("must panic");
+        let caught =
+            std::panic::catch_unwind(|| std::panic::panic_any(42u32)).expect_err("must panic");
         let e = AntError::from_panic("ctx", caught.as_ref());
         assert!(e.to_string().contains("non-string"));
     }

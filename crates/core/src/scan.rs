@@ -106,7 +106,12 @@ pub fn scan_kernel(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir) -> Ker
 /// directly on the CSR columns slice (no per-window `Vec` collect), and the
 /// row of each selected element is recovered with a forward row-pointer
 /// cursor instead of a per-span row table.
-pub fn scan_kernel_into(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir, scan: &mut KernelScan) {
+pub fn scan_kernel_into(
+    kernel: &CsrMatrix,
+    ranges: &GroupRanges,
+    fnir: &Fnir,
+    scan: &mut KernelScan,
+) {
     let mut selected = std::mem::take(&mut scan.selected);
     selected.clear();
     let (row_ptr, cols, vals) = (kernel.row_ptr(), kernel.col_idx(), kernel.values());

@@ -215,7 +215,11 @@ pub struct JsonError {
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -478,9 +482,15 @@ mod tests {
         let doc = r#"{"a": [1, 2.5, -3], "b": {"c": null, "d": false}, "e": "x"}"#;
         let json = parse(doc).unwrap();
         assert_eq!(json.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(json.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
+        assert_eq!(
+            json.get("a").unwrap().as_array().unwrap()[0].as_u64(),
+            Some(1)
+        );
         assert_eq!(json.get("b").unwrap().get("c"), Some(&Json::Null));
-        assert_eq!(json.get("b").unwrap().get("d").unwrap().as_bool(), Some(false));
+        assert_eq!(
+            json.get("b").unwrap().get("d").unwrap().as_bool(),
+            Some(false)
+        );
         assert_eq!(json.get("e").unwrap().as_str(), Some("x"));
     }
 

@@ -97,10 +97,7 @@ impl Progress {
     /// Marks one step (named `item`) done and prints the running count.
     pub fn step(&mut self, item: &str) {
         self.done += 1;
-        eprintln!(
-            "[{}] {}/{} {}",
-            self.label, self.done, self.total, item
-        );
+        eprintln!("[{}] {}/{} {}", self.label, self.done, self.total, item);
         span::event(
             "progress",
             &[
@@ -229,7 +226,10 @@ impl RunStatus {
             ("name", Some(Value::Str(self.name.clone()))),
             ("network", Some(Value::Str(self.network.clone()))),
             ("pairs_done", Some(Value::U64(self.pairs_done))),
-            ("pairs_per_sec", Some(Value::F64(finite(self.pairs_per_sec)))),
+            (
+                "pairs_per_sec",
+                Some(Value::F64(finite(self.pairs_per_sec))),
+            ),
             ("pairs_total", Some(Value::U64(self.pairs_total))),
             ("quarantined", Some(Value::U64(self.quarantined))),
         ];
@@ -315,9 +315,7 @@ impl StatusReporter {
     /// Publishes: stderr line, trace event, and the atomic file rewrite.
     pub fn publish(&mut self, status: &RunStatus) {
         let json = status.to_json();
-        *latest_status()
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some(json.clone());
+        *latest_status().lock().unwrap_or_else(|p| p.into_inner()) = Some(json.clone());
         if self.console {
             eprintln!("{}", status.console_line());
         }
@@ -391,7 +389,10 @@ mod tests {
     fn status_json_parses_with_schema_and_sorted_keys() {
         let text = sample_status().to_json();
         let json = parse(&text).expect("status JSON parses");
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("ant-status/1")
+        );
         assert_eq!(json.get("state").and_then(Json::as_str), Some("running"));
         assert_eq!(json.get("network").and_then(Json::as_str), Some("resnet18"));
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(120));
@@ -401,7 +402,10 @@ mod tests {
         assert_eq!(json.get("retries").and_then(Json::as_u64), Some(2));
         assert_eq!(json.get("watchdog_slow").and_then(Json::as_u64), Some(3));
         assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(1.2));
-        assert!(json.get("updated_at_unix_ms").and_then(Json::as_u64).is_some());
+        assert!(json
+            .get("updated_at_unix_ms")
+            .and_then(Json::as_u64)
+            .is_some());
         // Keys after `schema` appear in sorted order.
         let body = text.trim_start_matches("{\"schema\":\"ant-status/1\",");
         let keys: Vec<&str> = body
@@ -419,8 +423,14 @@ mod tests {
         // Fresh run, unknown revision: git_revision is null, resumed_from
         // is omitted entirely.
         let fresh = sample_status().to_json();
-        assert!(fresh.contains("\"git_revision\":null"), "null revision: {fresh}");
-        assert!(!fresh.contains("resumed_from"), "fresh run omits resumed_from");
+        assert!(
+            fresh.contains("\"git_revision\":null"),
+            "null revision: {fresh}"
+        );
+        assert!(
+            !fresh.contains("resumed_from"),
+            "fresh run omits resumed_from"
+        );
 
         // Resumed run with a known revision: both appear, keys stay sorted.
         let status = RunStatus {
@@ -430,7 +440,10 @@ mod tests {
         };
         let text = status.to_json();
         let json = parse(&text).expect("parses");
-        assert_eq!(json.get("git_revision").and_then(Json::as_str), Some("abc1234"));
+        assert_eq!(
+            json.get("git_revision").and_then(Json::as_str),
+            Some("abc1234")
+        );
         assert_eq!(
             json.get("resumed_from").and_then(Json::as_str),
             Some("ckpt/fig09.ckpt")
@@ -458,7 +471,10 @@ mod tests {
         reporter.publish(&status);
         let latest = latest_status_json().expect("slot filled after publish");
         let json = parse(&latest).expect("slot holds valid JSON");
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("ant-status/1")
+        );
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(321));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -469,7 +485,9 @@ mod tests {
         set_resumed_from("ckpt/a.jsonl");
         assert_eq!(resumed_from(), Some("ckpt/a.jsonl".to_string()));
         // Reset so other tests in this process see a clean slate.
-        *resumed_from_slot().lock().unwrap_or_else(|p| p.into_inner()) = None;
+        *resumed_from_slot()
+            .lock()
+            .unwrap_or_else(|p| p.into_inner()) = None;
     }
 
     #[test]

@@ -211,10 +211,7 @@ impl Drop for Span {
 
 impl SpanState {
     fn fields_as_slice(&self) -> Vec<(&str, Value)> {
-        self.fields
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+        self.fields.iter().map(|(k, v)| (*k, v.clone())).collect()
     }
 }
 

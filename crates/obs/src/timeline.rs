@@ -319,7 +319,10 @@ mod tests {
             assert_eq!(event.get("ph").and_then(Json::as_str), Some("C"));
             assert_eq!(event.get("ts").and_then(Json::as_u64), Some(ts));
             assert_eq!(
-                event.get("args").and_then(|a| a.get("value")).and_then(Json::as_u64),
+                event
+                    .get("args")
+                    .and_then(|a| a.get("value"))
+                    .and_then(Json::as_u64),
                 Some(value)
             );
             assert!(event.get("dur").is_none());
@@ -381,10 +384,8 @@ mod tests {
 
     #[test]
     fn write_to_creates_parent_directories() {
-        let dir = std::env::temp_dir().join(format!(
-            "ant-obs-timeline-test-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ant-obs-timeline-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let path = dir.join("nested/deeper/empty.perfetto.json");
         Timeline::new().write_to(&path).expect("write with parents");

@@ -66,7 +66,12 @@ fn spans_nest_and_time_monotonically() {
 
     // Fields round-trip typed.
     assert_eq!(
-        outer.get("fields").unwrap().get("machine").unwrap().as_str(),
+        outer
+            .get("fields")
+            .unwrap()
+            .get("machine")
+            .unwrap()
+            .as_str(),
         Some("ANT")
     );
     assert_eq!(
@@ -114,7 +119,10 @@ fn events_attach_to_the_open_span() {
         event.get("parent").unwrap().as_u64(),
         span.get("span").unwrap().as_u64()
     );
-    assert_eq!(event.get("fields").unwrap().get("n").unwrap().as_u64(), Some(7));
+    assert_eq!(
+        event.get("fields").unwrap().get("n").unwrap().as_u64(),
+        Some(7)
+    );
 }
 
 #[test]
@@ -246,7 +254,12 @@ fn registry_snapshot_is_sorted_and_typed() {
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     assert_eq!(keys, sorted, "snapshot must be sorted");
-    let lookup = |k: &str| snapshot.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+    let lookup = |k: &str| {
+        snapshot
+            .iter()
+            .find(|(key, _)| key == k)
+            .map(|(_, v)| v.clone())
+    };
     assert_eq!(lookup("pairs"), Some(Value::U64(11)));
     assert_eq!(lookup("speedup"), Some(Value::F64(2.5)));
     assert_eq!(lookup("latency_us.count"), Some(Value::U64(2)));
@@ -323,7 +336,8 @@ fn manifest_stats_and_host_sections_are_key_sorted() {
     a.stat("worker.01.busy_us", 10u64)
         .stat("runner.pairs", 4u64)
         .stat("worker.00.busy_us", 9u64);
-    a.host_stat("sim_wall_us", 100u64).host_stat("alloc_counting", false);
+    a.host_stat("sim_wall_us", 100u64)
+        .host_stat("alloc_counting", false);
 
     let json = a.to_json();
     let stats_section = json
@@ -336,13 +350,18 @@ fn manifest_stats_and_host_sections_are_key_sorted() {
         .filter_map(|kv| kv.split(':').next())
         .map(|k| k.trim_matches('"'))
         .collect();
-    assert_eq!(keys, ["runner.pairs", "worker.00.busy_us", "worker.01.busy_us"]);
+    assert_eq!(
+        keys,
+        ["runner.pairs", "worker.00.busy_us", "worker.01.busy_us"]
+    );
     let host_section = json
         .split("\"host\":{")
         .nth(1)
         .and_then(|s| s.split('}').next())
         .expect("host section");
-    assert!(host_section.find("alloc_counting").unwrap() < host_section.find("sim_wall_us").unwrap());
+    assert!(
+        host_section.find("alloc_counting").unwrap() < host_section.find("sim_wall_us").unwrap()
+    );
     // Config order is untouched.
     let config_section = json.split("\"config\":{").nth(1).unwrap();
     assert!(config_section.find("zeta").unwrap() < config_section.find("alpha").unwrap());
@@ -354,7 +373,8 @@ fn manifest_stats_and_host_sections_are_key_sorted() {
     b.stat("worker.00.busy_us", 9u64)
         .stat("worker.01.busy_us", 10u64)
         .stat("runner.pairs", 4u64);
-    b.host_stat("alloc_counting", false).host_stat("sim_wall_us", 100u64);
+    b.host_stat("alloc_counting", false)
+        .host_stat("sim_wall_us", 100u64);
     let section = |text: &str, name: &str| {
         text.split(&format!("\"{name}\":{{"))
             .nth(1)
@@ -493,7 +513,10 @@ fn a_worker_that_enters_its_callers_context_nests_under_it() {
         })
         .collect();
     worker_paths.sort();
-    assert_eq!(worker_paths, [("caller/worker", caller_id), ("worker", None)]);
+    assert_eq!(
+        worker_paths,
+        [("caller/worker", caller_id), ("worker", None)]
+    );
     let leaf = records
         .iter()
         .find(|r| r.get("name").unwrap().as_str() == Some("leaf"))

@@ -104,8 +104,8 @@ pub fn tensordash_macs(
     let cycles = ((dense_cycles as f64 / speedup).ceil() as u64).max(1);
     // Executed multiplications: at least the non-zero work, padded by
     // whatever the window could not compact.
-    let mults = ((dense_macs as f64 / speedup).ceil() as u64)
-        .max((dense_macs as f64 * rho).ceil() as u64);
+    let mults =
+        ((dense_macs as f64 / speedup).ceil() as u64).max((dense_macs as f64 * rho).ceil() as u64);
     // Cycles the non-zero work strictly needs are compute; the excess is
     // lanes the bounded lookahead window failed to refill (drain).
     let compute = mults.div_ceil(multipliers as u64).min(cycles);
@@ -245,7 +245,10 @@ mod tests {
             [(10, 4, 3, 0), (2, 2, 7, 5), (0, 0, 0, 0), (6, 9, 6, 1)]
         {
             let t = ant_cycle_terms(scan, mult, groups, 1, conflicts);
-            assert_eq!(t.compute + t.fnir_scan + t.sram_fetch + conflicts, t.pe_cycles);
+            assert_eq!(
+                t.compute + t.fnir_scan + t.sram_fetch + conflicts,
+                t.pe_cycles
+            );
             assert_eq!(t.compute + t.fnir_scan, scan);
         }
         assert_eq!(ant_cycle_terms(0, 0, 0, 0, 0).startup, 0);

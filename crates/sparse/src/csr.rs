@@ -671,7 +671,8 @@ mod tests {
         let kernel = paper_fig7_kernel();
         for (factor, ph, pw) in [(1, 0, 0), (1, 2, 1), (2, 0, 0), (3, 1, 2), (2, 6, 6)] {
             let mapped = kernel.dilate_pad(factor, ph, pw);
-            let expected = CsrMatrix::from_dense(&dilate_pad_dense(&kernel.to_dense(), factor, ph, pw));
+            let expected =
+                CsrMatrix::from_dense(&dilate_pad_dense(&kernel.to_dense(), factor, ph, pw));
             assert_eq!(mapped, expected, "factor {factor}, pad ({ph}, {pw})");
         }
         // Empty rows at either end and an all-empty matrix keep valid
@@ -681,7 +682,10 @@ mod tests {
             edges.dilate_pad(2, 1, 0),
             CsrMatrix::from_dense(&dilate_pad_dense(&edges.to_dense(), 2, 1, 0))
         );
-        assert_eq!(CsrMatrix::empty(2, 2).dilate_pad(3, 1, 1), CsrMatrix::empty(6, 6));
+        assert_eq!(
+            CsrMatrix::empty(2, 2).dilate_pad(3, 1, 1),
+            CsrMatrix::empty(6, 6)
+        );
         assert_eq!(kernel.dilate_pad(1, 0, 0), kernel);
     }
 

@@ -120,8 +120,12 @@ pub fn synthesize_matmul<R: Rng>(
 ) -> (CsrMatrix, CsrMatrix) {
     let image =
         sparsify::random_csr_with_sparsity(shape.image_h(), shape.image_w(), image_sparsity, rng);
-    let kernel =
-        sparsify::random_csr_with_sparsity(shape.kernel_r(), shape.kernel_s(), kernel_sparsity, rng);
+    let kernel = sparsify::random_csr_with_sparsity(
+        shape.kernel_r(),
+        shape.kernel_s(),
+        kernel_sparsity,
+        rng,
+    );
     (image, kernel)
 }
 
@@ -228,7 +232,12 @@ mod tests {
 
         use crate::models::ConvLayerSpec;
 
-        fn random_with_nnz<R: Rng>(rows: usize, cols: usize, nnz: usize, rng: &mut R) -> DenseMatrix {
+        fn random_with_nnz<R: Rng>(
+            rows: usize,
+            cols: usize,
+            nnz: usize,
+            rng: &mut R,
+        ) -> DenseMatrix {
             let mut positions: Vec<usize> = (0..rows * cols).collect();
             positions.shuffle(rng);
             let mut out = DenseMatrix::zeros(rows, cols);
@@ -242,7 +251,12 @@ mod tests {
             out
         }
 
-        fn random_plane<R: Rng>(rows: usize, cols: usize, sparsity: f64, rng: &mut R) -> DenseMatrix {
+        fn random_plane<R: Rng>(
+            rows: usize,
+            cols: usize,
+            sparsity: f64,
+            rng: &mut R,
+        ) -> DenseMatrix {
             let nnz = ((1.0 - sparsity) * (rows * cols) as f64).round() as usize;
             random_with_nnz(rows, cols, nnz, rng)
         }
@@ -262,7 +276,10 @@ mod tests {
             max_channels: usize,
             rng: &mut R,
         ) -> Vec<(TrainingPhase, Vec<ConvPair>)> {
-            let (k_s, c_s) = (spec.out_channels.min(max_channels), spec.in_channels.min(max_channels));
+            let (k_s, c_s) = (
+                spec.out_channels.min(max_channels),
+                spec.in_channels.min(max_channels),
+            );
             let (oh, ow) = spec.output_dims();
             let pad = spec.padding;
             let (ph, pw) = (spec.input_h + 2 * pad, spec.input_w + 2 * pad);
@@ -275,11 +292,14 @@ mod tests {
                 .collect();
             let activations: Vec<DenseMatrix> = (0..c_s)
                 .map(|_| {
-                    let interior = random_plane(spec.input_h, spec.input_w, sparsity, rng).map(f32::abs);
+                    let interior =
+                        random_plane(spec.input_h, spec.input_w, sparsity, rng).map(f32::abs);
                     pad_plane(&interior, pad, ph, pw)
                 })
                 .collect();
-            let grads: Vec<DenseMatrix> = (0..k_s).map(|_| random_plane(oh, ow, sparsity, rng)).collect();
+            let grads: Vec<DenseMatrix> = (0..k_s)
+                .map(|_| random_plane(oh, ow, sparsity, rng))
+                .collect();
             let (r, s) = (spec.kernel_h, spec.kernel_w);
             let forward = ConvShape::with_output(r, s, ph, pw, spec.stride, 1, oh, ow).unwrap();
             let update = ConvShape::with_output(oh, ow, ph, pw, 1, spec.stride, r, s).unwrap();
@@ -298,8 +318,12 @@ mod tests {
                         image: CsrMatrix::from_dense(image),
                         shape,
                     };
-                    out[0].1.push(pair(&weights[k][c], &activations[c], forward));
-                    out[1].1.push(pair(&weights[k][c].rotate180(), &padded, backward));
+                    out[0]
+                        .1
+                        .push(pair(&weights[k][c], &activations[c], forward));
+                    out[1]
+                        .1
+                        .push(pair(&weights[k][c].rotate180(), &padded, backward));
                     out[2].1.push(pair(&grads[k], &activations[c], update));
                 }
             }
@@ -331,8 +355,12 @@ mod tests {
                 max_channels,
                 &mut StdRng::seed_from_u64(seed),
             );
-            let expected =
-                dense_reference::pairs(&spec, sparsity, max_channels, &mut StdRng::seed_from_u64(seed));
+            let expected = dense_reference::pairs(
+                &spec,
+                sparsity,
+                max_channels,
+                &mut StdRng::seed_from_u64(seed),
+            );
             for (phase, pairs) in &expected {
                 let trace = &synth.trace;
                 assert_eq!(trace.pair_count(), pairs.len(), "case {case} {spec:?}");

@@ -357,23 +357,40 @@ mod tests {
             let bytes = mutant(&bundle, 0x7EAC, case);
             let traces = match decode_traces(&bytes) {
                 Ok(traces) => traces,
-                Err(TraceIoError::BadMagic | TraceIoError::Truncated | TraceIoError::Corrupt(_)) => {
+                Err(
+                    TraceIoError::BadMagic | TraceIoError::Truncated | TraceIoError::Corrupt(_),
+                ) => {
                     rejected += 1;
                     continue;
                 }
             };
             accepted += 1;
-            assert_eq!(encode_traces(&traces)[..], bytes[..], "case {case} re-encodes differently");
+            assert_eq!(
+                encode_traces(&traces)[..],
+                bytes[..],
+                "case {case} re-encodes differently"
+            );
             for trace in &traces {
                 for phase in TrainingPhase::ALL {
                     for (kernel, image, shape) in trace.pairs(phase) {
-                        assert_eq!(kernel.shape(), (shape.kernel_h(), shape.kernel_w()), "case {case}");
-                        assert_eq!(image.shape(), (shape.image_h(), shape.image_w()), "case {case}");
+                        assert_eq!(
+                            kernel.shape(),
+                            (shape.kernel_h(), shape.kernel_w()),
+                            "case {case}"
+                        );
+                        assert_eq!(
+                            image.shape(),
+                            (shape.image_h(), shape.image_w()),
+                            "case {case}"
+                        );
                     }
                 }
             }
         }
-        assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 
     /// A bundle's declared sizes are checked against its remaining bytes

@@ -108,13 +108,12 @@ fn trace_pairs_reproduce_forward_computation() {
         // Compare against a direct dense convolution of the same planes.
         let mut expected = ant_sparse::DenseMatrix::zeros(shape.out_h(), shape.out_w());
         for c in 0..trace.in_channels() {
-            let partial =
-                ant_conv::dense::conv2d(
-                    &trace.weight(0, c).to_dense(),
-                    &trace.activation(c).to_dense(),
-                    &shape,
-                )
-                .unwrap();
+            let partial = ant_conv::dense::conv2d(
+                &trace.weight(0, c).to_dense(),
+                &trace.activation(c).to_dense(),
+                &shape,
+            )
+            .unwrap();
             for (r, col, v) in partial.iter_nonzero() {
                 expected[(r, col)] += v;
             }
