@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the sparse-matrix substrate: CSR
-//! conversion, rotation, the prefix-sum useful-product counter, and the
+//! conversion, rotation, the exact useful-product counter, and the
 //! reference sparse convolution.
 
 use ant_conv::outer::sparse_conv_outer;
-use ant_conv::rcp::{count_useful_products, ImageNzCounter};
+use ant_conv::rcp::count_useful_products;
 use ant_conv::ConvShape;
 use ant_sparse::{sparsify, CsrMatrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -40,9 +40,6 @@ fn bench_useful_counter(c: &mut Criterion) {
     let image = CsrMatrix::from_dense(&sparsify::random_with_sparsity(114, 114, 0.9, &mut rng));
     c.bench_function("count_useful_products_112x112", |b| {
         b.iter(|| black_box(count_useful_products(&kernel, &image, &shape)))
-    });
-    c.bench_function("image_nz_counter_build_114x114", |b| {
-        b.iter(|| black_box(ImageNzCounter::new(&image, &shape)))
     });
 }
 

@@ -5,6 +5,7 @@
 //! (activation-gradient / activation) sparsity. ReSprop leaves the weights
 //! dense, so only `A` and `G_A` sparsities vary.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
 use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
 use ant_sim::ant::AntAccelerator;
@@ -14,6 +15,11 @@ use ant_workloads::models::resnet18_cifar;
 use ant_workloads::synth::LayerSparsity;
 
 fn main() {
+    let exp = Experiment::start(
+        "fig10_vs_dense",
+        "Figure 10: ANT vs dense SCNN+ (ResNet18/CIFAR, ReSprop-style)",
+    );
+    println!();
     let net = resnet18_cifar();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
@@ -26,7 +32,6 @@ fn main() {
     };
     let dense = simulate_network_parallel(&scnn, &net, &dense_cfg);
 
-    println!("Figure 10: ANT vs dense SCNN+ (ResNet18/CIFAR, ReSprop-style)\n");
     let mut table = Table::new(&["G_A/A sparsity", "speedup vs dense", "energy vs dense"]);
     // The paper's x-axis labels measured gradient/activation sparsity pairs.
     let sweep = [
@@ -54,8 +59,5 @@ fn main() {
     }
     print!("{}", table.render());
     println!("\npaper: up to 28.1x speedup / 40x energy at 42%/85%.");
-    match table.write_csv("fig10_vs_dense") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

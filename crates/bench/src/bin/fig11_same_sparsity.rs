@@ -4,6 +4,7 @@
 //! Paper reference: ANT is between 1.9x and 2.6x faster and uses between
 //! 2.6x and 4.4x less energy at every sparsity level.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
 use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
 use ant_sim::ant::AntAccelerator;
@@ -18,7 +19,11 @@ fn main() {
     let scnn = ScnnPlus::paper_default();
     let ant = AntAccelerator::paper_default();
 
-    println!("Figure 11: ANT vs SCNN+ at the same sparsity (ResNet18/CIFAR)\n");
+    let exp = Experiment::start(
+        "fig11_same_sparsity",
+        "Figure 11: ANT vs SCNN+ at the same sparsity (ResNet18/CIFAR)",
+    );
+    println!();
     let mut table = Table::new(&["G_A/A sparsity", "speedup", "energy ratio"]);
     let sweep = [
         (0.30, 0.60),
@@ -46,8 +51,5 @@ fn main() {
     }
     print!("{}", table.render());
     println!("\npaper: 1.9x-2.6x speedup, 2.6x-4.4x energy at every level.");
-    match table.write_csv("fig11_same_sparsity") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

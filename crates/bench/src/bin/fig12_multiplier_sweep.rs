@@ -4,6 +4,7 @@
 //!
 //! Paper reference: ANT outperforms SCNN+ at every array size.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
 use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
 use ant_core::anticipator::AntConfig;
@@ -17,7 +18,11 @@ fn main() {
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
 
-    println!("Figure 12: multiplier array sensitivity (ResNet18, SWAT 90%)\n");
+    let exp = Experiment::start(
+        "fig12_multiplier_sweep",
+        "Figure 12: multiplier array sensitivity (ResNet18, SWAT 90%)",
+    );
+    println!();
     let mut table = Table::new(&["array", "speedup", "energy ratio"]);
     for n in [4usize, 6, 8] {
         let scnn = ScnnPlus::new(n);
@@ -38,8 +43,5 @@ fn main() {
     }
     print!("{}", table.render());
     println!("\npaper: ANT > SCNN+ at 4x4, 6x6, and 8x8.");
-    match table.write_csv("fig12_multiplier_sweep") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

@@ -5,6 +5,7 @@
 //! block has no slack to run ahead of the 4x4 array and becomes the
 //! bottleneck.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
 use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
 use ant_core::anticipator::AntConfig;
@@ -14,13 +15,17 @@ use ant_sim::EnergyModel;
 use ant_workloads::models::resnet18_cifar;
 
 fn main() {
+    let exp = Experiment::start(
+        "fig13_fnir_sweep",
+        "Figure 13: FNIR window sensitivity (ResNet18, SWAT 90%, 4x4)",
+    );
+    println!();
     let net = resnet18_cifar();
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
     let s = simulate_network_parallel(&scnn, &net, &cfg);
 
-    println!("Figure 13: FNIR window sensitivity (ResNet18, SWAT 90%, 4x4)\n");
     let mut table = Table::new(&["sparsity", "k", "speedup", "energy ratio"]);
     for k in [4usize, 8, 16, 32] {
         let ant = AntAccelerator::new(AntConfig {
@@ -58,8 +63,5 @@ fn main() {
     }
     print!("{}", table.render());
     println!("\npaper: k = 4 bottlenecks FNIR; k >= 8 outperforms SCNN+.");
-    match table.write_csv("fig13_fnir_sweep") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

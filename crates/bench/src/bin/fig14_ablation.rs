@@ -6,6 +6,7 @@
 //! savings over SCNN+; both together are ~1.06x faster than r-only. The
 //! eliminated sets overlap, so the combined elimination is not their sum.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
 use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
 use ant_core::anticipator::AntConfig;
@@ -15,13 +16,17 @@ use ant_sim::EnergyModel;
 use ant_workloads::models::resnet18_cifar;
 
 fn main() {
+    let exp = Experiment::start(
+        "fig14_ablation",
+        "Figure 14: condition ablation (ResNet18, SWAT 90%)",
+    );
+    println!();
     let net = resnet18_cifar();
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
     let s = simulate_network_parallel(&scnn, &net, &cfg);
 
-    println!("Figure 14: condition ablation (ResNet18, SWAT 90%)\n");
     let variants: [(&str, AntConfig); 3] = [
         (
             "r only",
@@ -63,8 +68,5 @@ fn main() {
     if let (Some(r), Some(b)) = (r_only_speedup, both_speedup) {
         println!("\nboth / r-only: {} (paper: 1.06x)", ratio(b / r));
     }
-    match table.write_csv("fig14_ablation") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

@@ -6,12 +6,17 @@
 //! gate-level model (DESIGN.md); the scaling trends in n and k are
 //! structural.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::Table;
 use ant_core::area::{fnir_gate_count, AreaModel};
 
 fn main() {
     let model = AreaModel::calibrated();
-    println!("Section 7.5: FNIR area model (calibrated gate-level substitute)\n");
+    let exp = Experiment::start(
+        "sec75_area",
+        "Section 7.5: FNIR area model (calibrated gate-level substitute)",
+    );
+    println!();
     let mut table = Table::new(&["n", "k", "gates", "area mm^2 (15nm)", "% of nxn array"]);
     for (n, k) in [(4usize, 16usize), (4, 32), (6, 24), (8, 32), (16, 64)] {
         let gates = fnir_gate_count(n, k).total();
@@ -32,8 +37,5 @@ fn main() {
         model.fnir_area_mm2(4, 16),
         model.fnir_fraction_of_multiplier_array(4, 16) * 100.0
     );
-    match table.write_csv("sec75_area") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

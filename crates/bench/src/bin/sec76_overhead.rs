@@ -11,6 +11,7 @@
 //! ANT's cycles spent in start-up, showing the crossover the paper
 //! describes.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
 use ant_conv::efficiency::TrainingPhase;
 use ant_sim::ant::AntAccelerator;
@@ -22,7 +23,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    println!("Section 7.6: start-up overhead vs layer size (update phase, 90%)\n");
+    let exp = Experiment::start(
+        "sec76_overhead",
+        "Section 7.6: start-up overhead vs layer size (update phase, 90%)",
+    );
+    println!();
     let scnn = ScnnPlus::paper_default();
     let ant = AntAccelerator::paper_default();
     let mut table = Table::new(&[
@@ -57,8 +62,5 @@ fn main() {
          carries only 10s-100s of multiplications; the start-up share shrinks\n\
          and the speedup grows as the matrices grow."
     );
-    match table.write_csv("sec76_overhead") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

@@ -5,6 +5,7 @@
 //! Paper reference: TensorDash improves ~2.25x over dense; ANT is ~8.9x
 //! faster than TensorDash.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{geomean, ratio, Table};
 use ant_bench::runner::{simulate_network_parallel, speedup, ExperimentConfig};
 use ant_sim::ant::AntAccelerator;
@@ -19,7 +20,11 @@ fn main() {
     let scnn = ScnnPlus::paper_default();
     let ant = AntAccelerator::paper_default();
 
-    println!("Section 7.7: relative performance at 90% sparsity (vs dense IP)\n");
+    let exp = Experiment::start(
+        "sec77_inner_product",
+        "Section 7.7: relative performance at 90% sparsity (vs dense IP)",
+    );
+    println!();
     let mut table = Table::new(&[
         "network",
         "TensorDash vs dense",
@@ -50,8 +55,5 @@ fn main() {
         ratio(geomean(&td_vs_dense)),
         ratio(geomean(&ant_vs_td))
     );
-    match table.write_csv("sec77_inner_product") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

@@ -4,6 +4,7 @@
 //! Paper reference: ANT anticipates and eliminates over 99% of the matmul
 //! RCPs at all three sparsity levels.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
 use ant_bench::runner::simulate_matmul_layers;
 use ant_sim::ant::AntAccelerator;
@@ -13,7 +14,11 @@ use ant_workloads::models::{rnn_matmuls, transformer_matmuls};
 fn main() {
     let ant = AntAccelerator::paper_default();
     let scnn = ScnnPlus::paper_default();
-    println!("Section 7.8: matmul RCP elimination (transformer + RNN)\n");
+    let exp = Experiment::start(
+        "sec78_transformer_rnn",
+        "Section 7.8: matmul RCP elimination (transformer + RNN)",
+    );
+    println!();
     let mut table = Table::new(&[
         "workload",
         "sparsity",
@@ -37,8 +42,5 @@ fn main() {
     }
     print!("{}", table.render());
     println!("\npaper: over 99% of RCPs eliminated at 0%, 50%, and 90% sparsity.");
-    match table.write_csv("sec78_transformer_rnn") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

@@ -1,11 +1,16 @@
 //! Table 2: outer-product efficiency for typical training convolution
 //! dimensions (ImageNet/ResNet50 and CIFAR/ResNet18).
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::Table;
 use ant_conv::efficiency::table2_rows;
 
 fn main() {
-    println!("Table 2: dense outer-product efficiency (Eq. 6)\n");
+    let exp = Experiment::start(
+        "tab02_efficiency",
+        "Table 2: dense outer-product efficiency (Eq. 6)",
+    );
+    println!();
     let paper = [96.52, 0.07, 23.71, 0.09, 100.00, 0.03, 76.58, 3.53];
     let mut table = Table::new(&["phase", "RxS", "HxW", "Hout x Wout", "efficiency", "paper"]);
     for (row, paper_eff) in table2_rows().iter().zip(paper.iter()) {
@@ -20,8 +25,5 @@ fn main() {
         ]);
     }
     print!("{}", table.render());
-    match table.write_csv("tab02_efficiency") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

@@ -1,11 +1,16 @@
 //! Table 3: outer-product efficiency for matmul training phases of a text
 //! translation transformer and a text classification RNN.
 
+use ant_bench::obs::Experiment;
 use ant_bench::report::Table;
 use ant_conv::matmul::table3_rows;
 
 fn main() {
-    println!("Table 3: matmul outer-product efficiency (= 1/R)\n");
+    let exp = Experiment::start(
+        "tab03_matmul_efficiency",
+        "Table 3: matmul outer-product efficiency (= 1/R)",
+    );
+    println!();
     let paper = [
         1.39, 0.20, 10.00, 10.00, 1.56, 33.33, 33.33, 0.33, 12.50, 12.50, 0.33,
     ];
@@ -21,8 +26,5 @@ fn main() {
         ]);
     }
     print!("{}", table.render());
-    match table.write_csv("tab03_matmul_efficiency") {
-        Ok(path) => println!("\ncsv: {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    exp.finish(&table);
 }

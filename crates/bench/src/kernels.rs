@@ -19,14 +19,15 @@
 //! * `fingerprint` — once-per-layer content keying for the simulation
 //!   cache ([`KeyBuilder::write_csr`] over a ResNet-scale plane).
 //! * `useful_count_fwd` / `useful_count_upd` — the exact useful-product
-//!   counter SCNN+, GoSPA and DST run on every pair
+//!   counter the parallel runner's synthesis workers run once per pair
 //!   ([`count_useful_products_with`]) on the ResNet-50 stem's forward pair
-//!   (the row walk at 90% sparsity) and update pair (the prefix planes),
-//!   reusing one [`NzCounterScratch`] like the simulator.
-//! * `ant_pair_fwd` / `ant_pair_upd` — ANT's whole pair
-//!   ([`AntAccelerator::simulate_conv_pair_scratch`] at the paper
-//!   configuration, no accumulator-bank model) on the same stem operands,
-//!   reusing one [`SimScratch`] like a simulator worker.
+//!   (the row walk at 90% sparsity) and update pair (the row masks),
+//!   reusing one [`NzCounterScratch`] like the runner.
+//! * `ant_pair_fwd` / `ant_pair_upd` — ANT's pair on a counted pair
+//!   ([`AntAccelerator::simulate_counted_conv_pair`] at the paper
+//!   configuration, no accumulator-bank model: the range stage and the
+//!   kernel walk) on the same stem operands, reusing one [`SimScratch`]
+//!   like a simulator worker.
 //! * `synth_layer` — a cold layer's operand synthesis
 //!   ([`synthesize_layer`]: the CSR draw of every sampled plane plus the
 //!   backward phase's rotated kernels and dilated, padded gradients) for
@@ -370,13 +371,20 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
             let (kernel, image) = stem_operands(operands, &shape, sparsity);
             let ant = AntAccelerator::paper_default();
             let mut scratch = SimScratch::new();
+            let useful =
+                count_useful_products_with(&kernel, &image, &shape, &mut scratch.nz_counter);
             benches.push(KernelBench::new(
                 kernel_name,
                 case.clone(),
                 iters,
                 Box::new(move || {
-                    let stats =
-                        ant.simulate_conv_pair_scratch(&kernel, &image, &shape, &mut scratch);
+                    let stats = ant.simulate_counted_conv_pair(
+                        &kernel,
+                        &image,
+                        &shape,
+                        useful,
+                        &mut scratch,
+                    );
                     stats.mults ^ stats.pe_cycles
                 }),
             ));
@@ -538,11 +546,7 @@ mod tests {
         // sides of the counter's path rule.
         for (kernel_name, shape, path) in [
             ("useful_count_fwd", stem_forward(), UsefulCountPath::RowWalk),
-            (
-                "useful_count_upd",
-                stem_update(),
-                UsefulCountPath::PrefixPlanes,
-            ),
+            ("useful_count_upd", stem_update(), UsefulCountPath::RowMasks),
         ] {
             let (kernel, image) = stem_operands(kernel_name, &shape, 0.9);
             assert_eq!(

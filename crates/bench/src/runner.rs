@@ -14,12 +14,13 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
+use ant_conv::rcp::{count_useful_products_with, NzCounterScratch};
 use ant_conv::ConvShape;
 use ant_nn::trace::PairRef;
 use ant_nn::ConvTrace;
 use ant_sim::cache::{CacheKey, MODEL_VERSION};
 use ant_sim::chaos::{self, ChaosConfig, Fault};
-use ant_sim::{AntError, ConvSim, SimScratch, SimStats};
+use ant_sim::{validate_conv_pair, AntError, ConvSim, SimScratch, SimStats};
 use ant_sparse::CsrMatrix;
 use ant_workloads::models::NetworkModel;
 use ant_workloads::synth::{synthesize_layer, LayerSparsity};
@@ -691,11 +692,13 @@ fn truncated_csr_error(kernel: &CsrMatrix) -> AntError {
     }
 }
 
-/// Simulates one pair behind the isolation boundary, applying an injected
-/// chaos fault if one is scheduled for this attempt.
+/// Simulates one pair, whose useful products number `useful`, behind the
+/// isolation boundary, applying an injected chaos fault if one is
+/// scheduled for this attempt.
 fn run_pair_job<S: ConvSim + Sync + ?Sized>(
     pe: &S,
     (kernel, image, shape): PairRef<'_>,
+    useful: u64,
     fault: Option<Fault>,
     scratch: &mut SimScratch,
 ) -> Result<SimStats, AntError> {
@@ -714,7 +717,10 @@ fn run_pair_job<S: ConvSim + Sync + ?Sized>(
             )?;
             pe.try_simulate_conv_pair(kernel, image, &shape, scratch)
         }
-        None => pe.try_simulate_conv_pair(kernel, image, shape, scratch),
+        None => {
+            validate_conv_pair(pe.name(), kernel, image, shape)?;
+            Ok(pe.simulate_counted_conv_pair(kernel, image, shape, useful, scratch))
+        }
     }));
     match outcome {
         Ok(result) => result,
@@ -1079,9 +1085,10 @@ pub fn held_operand_layers(net: &NetworkModel, cfg: &ExperimentConfig) -> usize 
 /// Returns the synthesized operands of every `pending` layer, one slot per
 /// layer of `net`. Layers the operand slot holds under this call's key are
 /// shared from it; a slot under another key is dropped before anything is
-/// synthesized. The rest are synthesized on up to `threads` workers that
-/// claim indices from a shared atomic (each layer's RNG seed derives from
-/// its index alone, so synthesis order is free) and stored in the slot.
+/// synthesized. The rest are synthesized and their pairs' useful products
+/// counted ([`LayerWork::counted`]) on up to `threads` workers that claim
+/// indices from a shared atomic (each layer's RNG seed derives from its
+/// index alone, so synthesis order is free) and stored in the slot.
 /// The calling thread is one of the workers, so a single worker spawns
 /// nothing (thread spawns dominate sub-millisecond work).
 fn synthesize_layers(
@@ -1112,11 +1119,16 @@ fn synthesize_layers(
     let slots: Vec<OnceLock<Result<LayerWork, AntError>>> =
         (0..net.layers.len()).map(|_| OnceLock::new()).collect();
     let next_missing = AtomicUsize::new(0);
-    let synth_loop = || loop {
-        let i = next_missing.fetch_add(1, Ordering::Relaxed);
-        let Some(&li) = missing.get(i) else { break };
-        let stored = slots[li].set(synthesize_layer_work(&net.layers[li], li, cfg));
-        debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
+    let synth_loop = || {
+        let mut scratch = NzCounterScratch::new();
+        loop {
+            let i = next_missing.fetch_add(1, Ordering::Relaxed);
+            let Some(&li) = missing.get(i) else { break };
+            let work = synthesize_layer_work(&net.layers[li], li, cfg)
+                .map(|work| work.counted(&mut scratch));
+            let stored = slots[li].set(work);
+            debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
+        }
     };
     // Spawned workers enter the caller's open spans, so a layer's
     // `synthesize_layer` span has one path whichever thread drew it.
@@ -1357,6 +1369,7 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
         let pair = work
             .trace
             .pair(phase, task.pair / channels, task.pair % channels);
+        let useful = work.useful(task.phase, task.pair);
         let job_started = settings.budget_us.map(|_| {
             let slot = &pool.watch[me];
             slot.task.store(encode_task(task), Ordering::Relaxed);
@@ -1373,7 +1386,7 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
                 .chaos
                 .and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
         };
-        let mut result = run_pair_job(pool.pe, pair, fault(0), &mut scratch);
+        let mut result = run_pair_job(pool.pe, pair, useful, fault(0), &mut scratch);
         let mut attempts = 1u32;
         if result.is_err() {
             out.retries += 1;
@@ -1384,7 +1397,7 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
             // on a fresh one (failure path only — the clean path stays
             // allocation-free).
             scratch = SimScratch::new();
-            result = run_pair_job(pool.pe, pair, fault(1), &mut scratch);
+            result = run_pair_job(pool.pe, pair, useful, fault(1), &mut scratch);
             attempts = 2;
             if result.is_ok() {
                 out.retried.push(PairRetry {
@@ -1708,14 +1721,44 @@ struct LayerWork {
     channel_scale: f64,
     /// The sampled planes, with the backward phase's derived once.
     trace: ConvTrace,
+    /// Every pair's exact useful-product count, phase by phase in
+    /// [`TrainingPhase::ALL`] order and each phase in
+    /// [`ConvTrace::pairs`] order ([`LayerWork::counted`]). The parallel
+    /// runner's synthesis workers fill it, so every machine call on the
+    /// operand slot reads one count per pair per op. The serial runner
+    /// leaves it empty and counts per machine call, through
+    /// [`ConvSim::simulate_conv_pair_scratch`], as the independent
+    /// reference. The counts live here, not in the [`ConvTrace`], so
+    /// decoding a trace bundle never counts.
+    useful: Vec<u64>,
+}
+
+impl LayerWork {
+    /// This layer with every pair's useful products counted on `scratch`.
+    fn counted(mut self, scratch: &mut NzCounterScratch) -> Self {
+        self.useful = TrainingPhase::ALL
+            .into_iter()
+            .flat_map(|phase| self.trace.pairs(phase))
+            .map(|(kernel, image, shape)| count_useful_products_with(kernel, image, shape, scratch))
+            .collect();
+        self
+    }
+
+    /// The useful-product count of pair `pair` of phase `phase` (an index
+    /// into [`TrainingPhase::ALL`]), as [`LayerWork::counted`] stored it.
+    fn useful(&self, phase: usize, pair: usize) -> u64 {
+        self.useful[phase * self.trace.pair_count() + pair]
+    }
 }
 
 /// The pre-synthesis memo key for one layer: hashes everything that
 /// *determines* the synthesized operands and their finalized stats by
 /// construction — the experiment fingerprint (seed, sampling, sparsities),
-/// the layer spec and its index (per-layer RNG seeds derive from the
-/// index), the machine identity string, and [`MODEL_VERSION`]. A warm run
-/// that resolves this key skips synthesis entirely; the authoritative
+/// the layer's dimensions and its index (per-layer RNG seeds derive from
+/// the index), the machine identity string, and [`MODEL_VERSION`]. Not the
+/// layer's name, which the operands do not depend on: two networks whose
+/// layers agree in index and dimensions share those layers' entries. A warm
+/// run that resolves this key skips synthesis entirely; the authoritative
 /// content key below is what entries are stored under.
 fn synth_cache_key(
     machine_identity: &str,
@@ -1729,7 +1772,6 @@ fn synth_cache_key(
     key.write_str(machine_identity);
     Fingerprint::of(cfg).write_to(&mut key);
     key.write_usize(layer_index);
-    key.write_str(&layer.name);
     for dim in [
         layer.out_channels,
         layer.in_channels,
@@ -1810,6 +1852,7 @@ fn synthesize_layer_work(
         scale: synth.channel_scale * layer.count as f64,
         channel_scale: synth.channel_scale,
         trace: synth.trace,
+        useful: Vec::new(),
     })
 }
 

@@ -4,8 +4,8 @@
 //! check goes through the same slot, so these sequences compare every
 //! parallel run with the serial reference, which synthesizes on its own.
 //!
-//! The slot and the chaos override are process-global, so everything lives
-//! in one `#[test]`.
+//! The slot and the chaos and cache overrides are process-global, so
+//! everything lives in one `#[test]`.
 
 use std::collections::HashMap;
 
@@ -14,6 +14,7 @@ use ant_bench::runner::{
     try_simulate_network_parallel_checkpointed, ExperimentConfig, LayerCheckpoint, NetworkResult,
     RunOptions,
 };
+use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::chaos::{self, ChaosConfig};
 use ant_sim::scnn::ScnnPlus;
@@ -153,4 +154,26 @@ fn operand_slot_serves_exactly_its_own_key() {
         check(0, &net_b, &base, "clean after chaos");
         check(1, &net_b, &base, "clean after chaos");
     }
+
+    // The memo key hashes a layer's index and dimensions, not its name.
+    // With the cache on, ResNet18's `conv1` (index 0, 64x3x3x3 at 32x32)
+    // is served by the entry DenseNet-121's `conv0` recorded just before,
+    // so the slot holds every ResNet18 layer but that one.
+    simcache::set_override(CacheOverride::On(SimCacheConfig::default()));
+    let opts = RunOptions {
+        threads: Some(2),
+        ..RunOptions::default()
+    };
+    let densenet = models::densenet121_cifar();
+    assert_eq!(densenet.layers[0].name, "conv0");
+    try_simulate_network_parallel(&scnn, &densenet, &base, &opts).unwrap();
+    let run = try_simulate_network_parallel(&scnn, &net_b, &base, &opts).unwrap();
+    simcache::set_override(CacheOverride::Env);
+    assert_eq!(run.cache_hits, 1, "only conv1 is served by the cache");
+    assert_eq!(held_operand_layers(&net_b, &base), net_b.layers.len() - 1);
+    assert_same(
+        &run,
+        serial(0, &net_b, &base),
+        "conv1 served by conv0's entry",
+    );
 }

@@ -57,7 +57,7 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
     ];
     // A forward-like pair and an update-like pair (a large, denser kernel
     // with a 3x3 output): the useful-product counter takes its row walk on
-    // the first and its prefix planes on the second, so both stay
+    // the first and its row masks on the second, so both stay
     // allocation-free on a warm worker.
     let conv_pairs: Vec<_> = [
         (ConvShape::new(3, 3, 16, 16, 1).unwrap(), 0.9),
@@ -79,10 +79,7 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
         .iter()
         .map(|(shape, (k, i), _)| useful_count_path(k.nnz(), i.nnz(), shape))
         .collect();
-    assert_eq!(
-        paths,
-        [UsefulCountPath::RowWalk, UsefulCountPath::PrefixPlanes]
-    );
+    assert_eq!(paths, [UsefulCountPath::RowWalk, UsefulCountPath::RowMasks]);
 
     let mshape = MatmulShape::new(12, 16, 16, 8).unwrap();
     let mut rng = StdRng::seed_from_u64(3);

@@ -14,8 +14,9 @@
 //!   vs. RCP vs. zero-operand), over an exact useful-product counter that
 //!   scales to ImageNet-sized layers. It counts each pair by the cheaper of
 //!   two paths ([`useful_count_path`]): a walk over the image rows each
-//!   kernel non-zero reaches, or `O(H*W)`-preprocessing prefix planes
-//!   answering `O(1)` per kernel element.
+//!   kernel non-zero reaches, or word-parallel row masks that AND each
+//!   kernel row against the shifted image rows it meets at every output
+//!   position.
 
 use ant_sparse::{CsrMatrix, DenseMatrix};
 
@@ -239,127 +240,25 @@ impl ProductBreakdown {
     }
 }
 
-/// Exact per-kernel-element counter of valid non-zero image partners.
-///
-/// Built once per image in `O(H * W)` (per stride phase), then
-/// [`ImageNzCounter::count_valid`] answers "how many non-zero image elements
-/// form a *valid* product with kernel element `(s, r)`" in `O(1)`. This is
-/// what lets the Figure-1/Table-5 experiments run exact counts on
-/// ImageNet-scale layers instead of brute-forcing `R*S*H*W` pairs.
-#[derive(Debug)]
-pub struct ImageNzCounter {
-    shape: ConvShape,
-    // Flat storage of stride*stride planes, each `plane_len` long. Within
-    // plane (py, px), the 2-D inclusive prefix-sum over the indicator of
-    // non-zero image elements restricted to that stride phase, with a
-    // sentinel row/column of zeros at index 0.
-    prefix: Vec<u32>,
-    phase_cols: usize,
-    plane_len: usize,
-}
-
-/// Fills `prefix` with the per-stride-phase 2-D prefix-sum planes for
-/// `image`, reusing the buffer's capacity. Returns `(phase_cols, plane_len)`.
-fn fill_prefix(image: &CsrMatrix, shape: &ConvShape, prefix: &mut Vec<u32>) -> (usize, usize) {
-    assert_eq!(
-        image.shape(),
-        (shape.image_h(), shape.image_w()),
-        "image shape mismatch"
-    );
-    let stride = shape.stride();
-    let h = shape.image_h();
-    let w = shape.image_w();
-    let cols = w + 1;
-    let plane_len = (h + 1) * cols;
-    prefix.clear();
-    prefix.resize(stride * stride * plane_len, 0);
-    for (y, x, _) in image.iter() {
-        let phase = (y % stride) * stride + (x % stride);
-        prefix[phase * plane_len + (y + 1) * cols + (x + 1)] += 1;
-    }
-    for plane in prefix.chunks_mut(plane_len) {
-        for y in 1..=h {
-            for x in 1..=w {
-                plane[y * cols + x] =
-                    plane[y * cols + x] + plane[(y - 1) * cols + x] + plane[y * cols + (x - 1)]
-                        - plane[(y - 1) * cols + (x - 1)];
-            }
-        }
-    }
-    (cols, plane_len)
-}
-
-/// [`ImageNzCounter::count_valid`] over borrowed prefix planes (shared by
-/// the owned counter and the scratch-reusing fast path).
-fn count_valid_in(
-    shape: &ConvShape,
-    prefix: &[u32],
-    phase_cols: usize,
-    plane_len: usize,
-    s: usize,
-    r: usize,
-) -> u64 {
-    let d = shape.dilation();
-    let stride = shape.stride();
-    let y0 = d * r;
-    let x0 = d * s;
-    if y0 >= shape.image_h() || x0 >= shape.image_w() {
-        return 0;
-    }
-    let y1 = (y0 + stride * (shape.out_h() - 1)).min(shape.image_h() - 1);
-    let x1 = (x0 + stride * (shape.out_w() - 1)).min(shape.image_w() - 1);
-    let phase = (y0 % stride) * stride + (x0 % stride);
-    let c = phase_cols;
-    let p = &prefix[phase * plane_len..(phase + 1) * plane_len];
-    let total = p[(y1 + 1) * c + (x1 + 1)] as i64
-        - p[y0 * c + (x1 + 1)] as i64
-        - p[(y1 + 1) * c + x0] as i64
-        + p[y0 * c + x0] as i64;
-    total as u64
-}
-
-impl ImageNzCounter {
-    /// Builds the counter for a sparse image under the given shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image dimensions disagree with `shape`.
-    pub fn new(image: &CsrMatrix, shape: &ConvShape) -> Self {
-        let mut prefix = Vec::new();
-        let (phase_cols, plane_len) = fill_prefix(image, shape, &mut prefix);
-        Self {
-            shape: *shape,
-            prefix,
-            phase_cols,
-            plane_len,
-        }
-    }
-
-    /// Number of non-zero image elements `(x, y)` for which the product with
-    /// kernel element `(s, r)` is valid.
-    pub fn count_valid(&self, s: usize, r: usize) -> u64 {
-        count_valid_in(
-            &self.shape,
-            &self.prefix,
-            self.phase_cols,
-            self.plane_len,
-            s,
-            r,
-        )
-    }
-}
-
-/// Reusable buffer for [`count_useful_products_with`]: the prefix-sum planes
-/// of [`ImageNzCounter`] without the per-call allocation. One scratch per
-/// worker; it grows to the largest image seen and is then reused as-is.
-/// Pairs counted by the row walk never touch it.
+/// Reusable buffers for [`count_useful_products_with`]'s row-mask path
+/// ([`UsefulCountPath::RowMasks`]): the kernel's and the image's rows as
+/// bit masks. One scratch per worker; it grows to the largest pair seen and
+/// is then reused as-is. Pairs counted by the row walk never touch it.
 #[derive(Debug, Clone, Default)]
 pub struct NzCounterScratch {
-    prefix: Vec<u32>,
+    /// Kernel row `r` as `kernel_words` words: bit `s` is set when kernel
+    /// `(r, s)` is non-zero.
+    kernel: Vec<u64>,
+    /// Image row `y` at column phase `p < dilation` as `image_words` words:
+    /// bit `j` is set when image `(y, p + dilation*j)` is non-zero.
+    image: Vec<u64>,
+    /// Per output column `ox`: where its shifted window starts in an image
+    /// row's masks, and the shift's bit offset within that word.
+    columns: Vec<(usize, u32)>,
 }
 
 impl NzCounterScratch {
-    /// An empty scratch; the buffer grows on first use.
+    /// An empty scratch; the buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -374,46 +273,73 @@ pub enum UsefulCountPath {
     /// wins when the kernel's non-zeros reach few image rows in total, as
     /// in the forward and backward phases (a small, sparse `W`).
     RowWalk,
-    /// [`ImageNzCounter`]'s prefix-sum planes: `stride^2` planes over the
-    /// whole image, then `O(1)` per kernel non-zero. Wins when many kernel
-    /// non-zeros each reach a few rows, as in the update phase, whose large
-    /// `G_A` kernel reaches most of the image.
-    PrefixPlanes,
+    /// Word-parallel row masks: each kernel row and each image row (per
+    /// column phase modulo the dilation) as a bit mask, then one AND and
+    /// popcount per kernel row, output position and 64 kernel columns.
+    /// Costs `O(kernel rows * out_h * out_w * ceil(S/64))` plus one pass
+    /// over the image, so it wins when the output is small and the kernel
+    /// large, as in the update phase, whose `G_A` kernel reaches most of
+    /// the image through a 3x3 output.
+    RowMasks,
+}
+
+/// Words per kernel-row mask and per image-row phase mask for `shape`. An
+/// image phase holds `ceil(W / d)` bits; the widest shift, `stride *
+/// (out_w - 1) / d` bits, then reads `ceil(S / 64)` words plus one carry
+/// word, so the phase is padded to cover both.
+fn mask_words(shape: &ConvShape) -> (usize, usize) {
+    let kernel_words = shape.kernel_w().div_ceil(64);
+    let d = shape.dilation();
+    let phase_words = shape.image_w().div_ceil(d).div_ceil(64);
+    let max_shift = shape.stride() * (shape.out_w() - 1) / d;
+    let image_words = phase_words.max(max_shift / 64 + kernel_words + 1);
+    (kernel_words, image_words)
 }
 
 /// Picks the counting path for a pair from sizes the caller already has:
-/// the operands' non-zero counts and the shape (image and output dims,
-/// stride). Both paths return the same count; this only picks the cheaper
-/// one, in units of one prefix-plane cell:
+/// the operands' non-zero counts and the shape. Both paths return the same
+/// count; this only picks the cheaper one, in units of about one row-walk
+/// step:
 ///
-/// * the planes cost `stride^2 * (H+1) * (W+1)` cells plus one scatter per
-///   image non-zero;
 /// * the row walk visits `nnz_kernel * out_h` image rows. Each costs two
-///   cells of overhead plus a binary search over the row, about
+///   units of overhead plus a binary search over the row, about
 ///   `log2(row nnz) + 1` steps for the image's average row, and at
-///   `stride > 1` also the walk over the row's non-zeros in the window.
+///   `stride > 1` also the walk over the row's non-zeros in the window;
+/// * the row masks cost one unit per mask word cleared and per non-zero
+///   scattered, then one per kernel-mask word (a shifted load, an AND and a
+///   popcount) at each output position of each kernel row that can hold a
+///   non-zero (`min(R, nnz_kernel)`).
 ///
 /// Measured per pair over the Fig. 9 grid, the rule picks the faster path
 /// for all but a few near-ties: the walk for every forward and backward
-/// pair, the planes for the update pairs of ResNet-50's large layers.
+/// pair and for the update pairs of layers up to 16x16, the masks for the
+/// update pairs of the larger layers (a `G_A` kernel of 28x28 and up).
 pub fn useful_count_path(
     kernel_nnz: usize,
     image_nnz: usize,
     shape: &ConvShape,
 ) -> UsefulCountPath {
     let stride = shape.stride();
-    let (h, w) = (shape.image_h(), shape.image_w());
-    let row_nnz = image_nnz / h;
+    let row_nnz = image_nnz / shape.image_h();
     let search = (usize::BITS - row_nnz.leading_zeros()) as usize;
     let window = if stride > 1 { row_nnz } else { 0 };
     let walk = kernel_nnz
         .saturating_mul(shape.out_h())
         .saturating_mul(2 + search + window);
-    let planes = stride * stride * (h + 1) * (w + 1) + image_nnz;
-    if walk <= planes {
+    let (kernel_words, image_words) = mask_words(shape);
+    let build = shape.kernel_h() * kernel_words
+        + shape.image_h() * shape.dilation() * image_words
+        + kernel_nnz
+        + image_nnz;
+    let masks = shape
+        .kernel_h()
+        .min(kernel_nnz)
+        .saturating_mul(shape.out_h() * shape.out_w() * kernel_words)
+        .saturating_add(build);
+    if walk <= masks {
         UsefulCountPath::RowWalk
     } else {
-        UsefulCountPath::PrefixPlanes
+        UsefulCountPath::RowMasks
     }
 }
 
@@ -455,10 +381,92 @@ fn count_useful_by_rows(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape
     useful
 }
 
+/// The row masks ([`UsefulCountPath::RowMasks`]): with `K[r]` kernel row
+/// `r` as a bit mask over `s` and `I[y][p]` image row `y`'s columns
+/// `p + d*j` as a bit mask over `j`,
+///
+/// `useful = sum over r, oy, ox of popcount(K[r] & (I[d*r + stride*oy][q mod d] >> q / d))`
+///
+/// with `q = stride*ox`: bit `s` of the shifted image mask is image column
+/// `d*s + q`, the partner of kernel `(r, s)` at output `(oy, ox)`. Every
+/// such partner lies inside the image, so no bound is checked. Empty kernel
+/// and image rows are skipped. Allocates nothing once the scratch is warm.
+fn count_useful_by_masks(
+    kernel: &CsrMatrix,
+    image: &CsrMatrix,
+    shape: &ConvShape,
+    scratch: &mut NzCounterScratch,
+) -> u64 {
+    let d = shape.dilation();
+    let stride = shape.stride();
+    let (kernel_words, image_words) = mask_words(shape);
+    let row_words = d * image_words;
+    let NzCounterScratch {
+        kernel: kernel_masks,
+        image: image_masks,
+        columns,
+    } = scratch;
+    kernel_masks.clear();
+    kernel_masks.resize(shape.kernel_h() * kernel_words, 0);
+    for (r, s, _) in kernel.iter() {
+        kernel_masks[r * kernel_words + s / 64] |= 1 << (s % 64);
+    }
+    image_masks.clear();
+    image_masks.resize(shape.image_h() * row_words, 0);
+    for (y, x, _) in image.iter() {
+        let (p, j) = if d == 1 { (0, x) } else { (x % d, x / d) };
+        image_masks[y * row_words + p * image_words + j / 64] |= 1 << (j % 64);
+    }
+    columns.clear();
+    columns.extend((0..shape.out_w()).map(|ox| {
+        let q = stride * ox;
+        let shift = q / d;
+        ((q % d) * image_words + shift / 64, (shift % 64) as u32)
+    }));
+    let (kernel_rows, image_rows) = (kernel.row_ptr(), image.row_ptr());
+    let mut useful = 0u64;
+    for r in 0..shape.kernel_h() {
+        if kernel_rows[r] == kernel_rows[r + 1] {
+            continue;
+        }
+        let k_row = &kernel_masks[r * kernel_words..(r + 1) * kernel_words];
+        for oy in 0..shape.out_h() {
+            let y = d * r + stride * oy;
+            if image_rows[y] == image_rows[y + 1] {
+                continue;
+            }
+            let i_row = &image_masks[y * row_words..(y + 1) * row_words];
+            if let [k] = *k_row {
+                for &(start, bits) in columns.iter() {
+                    useful += and_shifted_count(k, i_row[start], i_row[start + 1], bits);
+                }
+            } else {
+                for &(start, bits) in columns.iter() {
+                    for (w, &k) in k_row.iter().enumerate() {
+                        let (lo, hi) = (i_row[start + w], i_row[start + w + 1]);
+                        useful += and_shifted_count(k, lo, hi, bits);
+                    }
+                }
+            }
+        }
+    }
+    useful
+}
+
+/// `popcount(k & (hi:lo >> bits))`: the image word `lo` shifted right by
+/// `bits < 64`, its top filled from the next word `hi` (the carry), against
+/// one kernel-mask word. Shifting the pair as one 128-bit value needs no
+/// branch for an aligned (`bits == 0`) shift.
+#[inline]
+fn and_shifted_count(k: u64, lo: u64, hi: u64, bits: u32) -> u64 {
+    let carried = u128::from(hi) << 64 | u128::from(lo);
+    u64::from((k & (carried >> (bits & 63)) as u64).count_ones())
+}
+
 /// Counts the useful (valid, both-non-zero) products between a sparse kernel
 /// and sparse image, exactly. Costs the cheaper of
 /// `O(nnz_kernel * out_h * log(row nnz))` (row walk) and
-/// `O(H*W*stride^2 + nnz_kernel)` (prefix planes); see
+/// `O(R * out_h * out_w * ceil(S/64) + H*W/64)` (row masks); see
 /// [`useful_count_path`].
 pub fn count_useful_products(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape) -> u64 {
     count_useful_products_with(kernel, image, shape, &mut NzCounterScratch::new())
@@ -470,7 +478,7 @@ pub fn count_useful_products(kernel: &CsrMatrix, image: &CsrMatrix, shape: &Conv
 ///
 /// # Panics
 ///
-/// Panics if the image dimensions disagree with `shape`.
+/// Panics if the operand dimensions disagree with `shape`.
 pub fn count_useful_products_with(
     kernel: &CsrMatrix,
     image: &CsrMatrix,
@@ -478,21 +486,21 @@ pub fn count_useful_products_with(
     scratch: &mut NzCounterScratch,
 ) -> u64 {
     assert_eq!(
+        kernel.shape(),
+        (shape.kernel_h(), shape.kernel_w()),
+        "kernel shape mismatch"
+    );
+    assert_eq!(
         image.shape(),
         (shape.image_h(), shape.image_w()),
         "image shape mismatch"
     );
+    if kernel.nnz() == 0 || image.nnz() == 0 {
+        return 0;
+    }
     match useful_count_path(kernel.nnz(), image.nnz(), shape) {
         UsefulCountPath::RowWalk => count_useful_by_rows(kernel, image, shape),
-        UsefulCountPath::PrefixPlanes => {
-            let (phase_cols, plane_len) = fill_prefix(image, shape, &mut scratch.prefix);
-            kernel
-                .iter()
-                .map(|(r, s, _)| {
-                    count_valid_in(shape, &scratch.prefix, phase_cols, plane_len, s, r)
-                })
-                .sum()
-        }
+        UsefulCountPath::RowMasks => count_useful_by_masks(kernel, image, shape, scratch),
     }
 }
 
@@ -832,18 +840,21 @@ mod tests {
     }
 
     /// A random pair for the counter's property test: a shape drawn from
-    /// one of three families, operands at a random sparsity (fully empty
-    /// kernels included), and some image rows zeroed.
+    /// one of four families at stride and dilation 1-3, operands at a
+    /// random sparsity (fully empty kernels included), and some image rows
+    /// zeroed.
     fn random_counter_case(rng: &mut StdRng) -> (ConvShape, DenseMatrix, DenseMatrix) {
         use rand::Rng;
         let stride = rng.gen_range(1..=3usize);
-        let dilation = rng.gen_range(1..=2usize);
-        let shape = match rng.gen_range(0..3u32) {
-            // A small kernel over a larger image (forward/backward-like).
+        let dilation = rng.gen_range(1..=3usize);
+        let shape = match rng.gen_range(0..4u32) {
+            // A small kernel over a larger image (forward/backward-like),
+            // sometimes wider than two mask words.
             0 => {
                 let (kh, kw) = (rng.gen_range(1..=4usize), rng.gen_range(1..=4usize));
                 let h = dilation * (kh - 1) + 1 + rng.gen_range(0..12usize);
-                let w = dilation * (kw - 1) + 1 + rng.gen_range(0..12usize);
+                let extra: usize = if rng.gen_bool(0.25) { 130 } else { 12 };
+                let w = dilation * (kw - 1) + 1 + rng.gen_range(0..extra);
                 ConvShape::with_dilation(kh, kw, h, w, stride, dilation).unwrap()
             }
             // A kernel larger than its reach: the output is at most 3x3,
@@ -856,14 +867,25 @@ mod tests {
                 ConvShape::with_dilation(kh, kw, h, w, stride, dilation).unwrap()
             }
             // An explicit, trimmed output: a scaled-down update row of a
-            // stride-2 layer (G_A over A, dilation 2, the forward kernel's
-            // extent as output, one trailing image row left unused).
-            _ => {
+            // strided layer (G_A over A, the forward kernel's extent as
+            // output, trailing image rows and columns left unused).
+            2 => {
                 let (kh, kw) = (rng.gen_range(2..=8usize), rng.gen_range(2..=8usize));
                 let (oh, ow) = (rng.gen_range(1..=3usize), rng.gen_range(1..=3usize));
-                let h = 2 * (kh - 1) + oh + 1;
-                let w = 2 * (kw - 1) + ow + 1;
-                ConvShape::with_output(kh, kw, h, w, 1, 2, oh, ow).unwrap()
+                let h = dilation * (kh - 1) + oh + rng.gen_range(0..=stride);
+                let w = dilation * (kw - 1) + ow + rng.gen_range(0..=stride);
+                let natural = ConvShape::with_dilation(kh, kw, h, w, stride, dilation).unwrap();
+                let (oh, ow) = (oh.min(natural.out_h()), ow.min(natural.out_w()));
+                ConvShape::with_output(kh, kw, h, w, stride, dilation, oh, ow).unwrap()
+            }
+            // A kernel wider than one mask word over an image wider than
+            // two: shifts cross word boundaries and read the carry word.
+            _ => {
+                let (kh, kw) = (rng.gen_range(1..=2usize), rng.gen_range(60..=80usize));
+                let (oh, ow) = (rng.gen_range(1..=3usize), rng.gen_range(1..=70usize));
+                let h = dilation * (kh - 1) + 1 + stride * (oh - 1);
+                let w = dilation * (kw - 1) + 1 + stride * (ow - 1);
+                ConvShape::with_dilation(kh, kw, h, w, stride, dilation).unwrap()
             }
         };
         let kernel_sparsity = [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4usize)];
@@ -901,7 +923,7 @@ mod tests {
                 CsrMatrix::from_dense(&image),
             );
             let path = useful_count_path(kernel.nnz(), image.nnz(), &shape);
-            taken[usize::from(path == UsefulCountPath::PrefixPlanes)] += 1;
+            taken[usize::from(path == UsefulCountPath::RowMasks)] += 1;
             assert_eq!(
                 count_useful_products_with(&kernel, &image, &shape, &mut scratch),
                 expected,
@@ -919,25 +941,56 @@ mod tests {
     fn each_fig09_phase_geometry_takes_its_path() {
         // Shapes and non-zero counts as the Fig. 9 grid synthesizes them at
         // 90% sparsity: the row walk for every forward and backward pair
-        // (a sparse 1x1 weight plane has no non-zero at all), the prefix
-        // planes for the update pairs of ResNet-50's large layers.
+        // (a sparse 1x1 weight plane has no non-zero at all) and for the
+        // update pairs of small layers, the row masks for the update pairs
+        // of the larger ones.
+        use UsefulCountPath::{RowMasks, RowWalk};
         let cases = [
             // CIFAR 3x3 layer, 32x32 padded to 34x34.
-            ("cifar 3x3 W*A", ConvShape::new(3, 3, 34, 34, 1), 1, 102),
-            ("cifar 3x3 W*G_A", ConvShape::new(3, 3, 34, 34, 1), 1, 102),
+            (
+                "cifar 3x3 W*A",
+                ConvShape::new(3, 3, 34, 34, 1),
+                1,
+                102,
+                RowWalk,
+            ),
+            (
+                "cifar 3x3 W*G_A",
+                ConvShape::new(3, 3, 34, 34, 1),
+                1,
+                102,
+                RowWalk,
+            ),
             (
                 "cifar 3x3 G_A*A",
                 ConvShape::with_output(32, 32, 34, 34, 1, 1, 3, 3),
                 102,
                 102,
+                RowMasks,
             ),
             // CIFAR 1x1 layer.
-            ("cifar 1x1 W*A", ConvShape::new(1, 1, 32, 32, 1), 0, 102),
+            (
+                "cifar 1x1 W*A",
+                ConvShape::new(1, 1, 32, 32, 1),
+                0,
+                102,
+                RowWalk,
+            ),
             (
                 "cifar 1x1 G_A*A",
                 ConvShape::with_output(32, 32, 32, 32, 1, 1, 1, 1),
                 102,
                 102,
+                RowMasks,
+            ),
+            // A late CIFAR 3x3 layer at 8x8, padded to 10x10: six kernel
+            // non-zeros reach too few rows for the masks to pay off.
+            (
+                "cifar 8x8 G_A*A",
+                ConvShape::with_output(8, 8, 10, 10, 1, 1, 3, 3),
+                6,
+                10,
+                RowWalk,
             ),
             // ResNet-50's 7x7 stride-2 stem: 224x224 padded to 230x230; the
             // backward image is G_A dilated by 2 and padded by 6.
@@ -946,18 +999,21 @@ mod tests {
                 ConvShape::new(7, 7, 230, 230, 2),
                 5,
                 5018,
+                RowWalk,
             ),
             (
                 "resnet50 stem W*G_A",
                 ConvShape::new(7, 7, 235, 235, 1),
                 5,
                 1254,
+                RowWalk,
             ),
             (
                 "resnet50 stem G_A*A",
                 ConvShape::with_output(112, 112, 230, 230, 1, 2, 7, 7),
                 1254,
                 5018,
+                RowMasks,
             ),
             // ResNet-50 3x3 layer at 56x56, padded to 58x58.
             (
@@ -965,23 +1021,19 @@ mod tests {
                 ConvShape::new(3, 3, 58, 58, 1),
                 1,
                 313,
+                RowWalk,
             ),
             (
                 "resnet50 56x56 G_A*A",
                 ConvShape::with_output(56, 56, 58, 58, 1, 1, 3, 3),
                 313,
                 313,
+                RowMasks,
             ),
         ];
-        for (name, shape, kernel_nnz, image_nnz) in cases {
-            let shape = shape.unwrap();
-            let expected = if name.starts_with("resnet50") && name.ends_with("G_A*A") {
-                UsefulCountPath::PrefixPlanes
-            } else {
-                UsefulCountPath::RowWalk
-            };
+        for (name, shape, kernel_nnz, image_nnz, expected) in cases {
             assert_eq!(
-                useful_count_path(kernel_nnz, image_nnz, &shape),
+                useful_count_path(kernel_nnz, image_nnz, &shape.unwrap()),
                 expected,
                 "{name}"
             );
@@ -990,14 +1042,13 @@ mod tests {
 
     #[test]
     fn counter_counts_zero_outside_reach() {
-        let shape = ConvShape::with_dilation(3, 3, 9, 9, 1, 4);
-        // dilation 4 * (3-1) + 1 = 9 fits exactly.
-        let shape = shape.unwrap();
+        // dilation 4 * (3-1) + 1 = 9 fits exactly: a 1x1 output.
+        let shape = ConvShape::with_dilation(3, 3, 9, 9, 1, 4).unwrap();
         let image = CsrMatrix::from_triplets(9, 9, vec![(0, 0, 1.0)]).unwrap();
-        let counter = ImageNzCounter::new(&image, &shape);
+        let kernel_at = |r, s| CsrMatrix::from_triplets(3, 3, vec![(r, s, 1.0)]).unwrap();
         // Kernel element (2,2) starts at image (8,8): cannot reach (0,0).
-        assert_eq!(counter.count_valid(2, 2), 0);
-        assert_eq!(counter.count_valid(0, 0), 1);
+        assert_eq!(count_useful_products(&kernel_at(2, 2), &image, &shape), 0);
+        assert_eq!(count_useful_products(&kernel_at(0, 0), &image, &shape), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! counter, since ANT executes every valid product.
 
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::{count_useful_products_with, IndexRange, NzCounterScratch};
+use ant_conv::rcp::IndexRange;
 use ant_conv::{ConvError, ConvShape};
 use ant_sparse::{CsrMatrix, DenseMatrix};
 
@@ -235,8 +235,6 @@ pub struct AntScratch {
     cycle_outputs: Vec<usize>,
     /// The accumulated output matrix (valid after a functional run).
     output: DenseMatrix,
-    /// Prefix planes for the counters-only conv path's useful count.
-    nz_counter: NzCounterScratch,
 }
 
 impl AntScratch {
@@ -249,7 +247,6 @@ impl AntScratch {
             scan: KernelScan::default(),
             cycle_outputs: Vec::new(),
             output: DenseMatrix::zeros(1, 1),
-            nz_counter: NzCounterScratch::new(),
         }
     }
 
@@ -400,18 +397,24 @@ impl Anticipator {
     /// selections × group size. ANT executes every valid product (the
     /// group ranges are conservative and the FNIR feedback never skips an
     /// in-range index), so `useful` is the pair's exact useful-product
-    /// count ([`count_useful_products_with`]), `accumulator_writes` equals
-    /// it and `rcps_executed` is the rest of the multiplications.
+    /// count, which the caller passes in (what
+    /// [`count_useful_products_with`] returns for these operands; a caller
+    /// that counted the pair for another machine hands the same count
+    /// over): `accumulator_writes` equals it and `rcps_executed` is the
+    /// rest of the multiplications.
     ///
     /// # Errors
     ///
     /// Returns [`ConvError::OperandShapeMismatch`] when operands disagree
     /// with `shape`.
+    ///
+    /// [`count_useful_products_with`]: ant_conv::rcp::count_useful_products_with
     pub fn run_conv_counters(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        useful: u64,
         scratch: &mut AntScratch,
     ) -> Result<AntCounters, ConvError> {
         check_conv_shapes(kernel, image, shape)?;
@@ -421,7 +424,6 @@ impl Anticipator {
             add_scan(&mut counters, &scratch.scan);
             counters.multiplications += scratch.scan.value_reads * group.len() as u64;
         }
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
         Ok(finish_counters(counters, useful))
     }
 

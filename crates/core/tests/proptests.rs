@@ -252,8 +252,9 @@ proptest! {
         let functional = ant
             .run_conv_with(&kernel, &image, &case.shape, &mut scratch, |_| {})
             .unwrap();
+        let useful = ant_conv::rcp::count_useful_products(&kernel, &image, &case.shape);
         let counters = ant
-            .run_conv_counters(&kernel, &image, &case.shape, &mut scratch)
+            .run_conv_counters(&kernel, &image, &case.shape, useful, &mut scratch)
             .unwrap();
         prop_assert_eq!(counters, functional, "{}", case.shape);
     }

@@ -4,6 +4,7 @@
 use std::fmt::Debug;
 
 use ant_conv::matmul::MatmulShape;
+use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_core::AntError;
 use ant_sparse::CsrMatrix;
@@ -109,17 +110,37 @@ pub trait ConvSim: Debug {
     /// Short machine name for reports and error attribution.
     fn name(&self) -> &'static str;
 
-    /// Simulates the convolution of one kernel/image pair, returning
+    /// Simulates the convolution of one kernel/image pair whose exact
+    /// useful-product count is `useful` (what
+    /// [`count_useful_products_with`] returns for these operands), returning
     /// per-pair operation and cycle counts. This is the machine's
-    /// definition. The caller owns the [`SimScratch`] arena, so once it is
-    /// warm the steady state allocates nothing.
+    /// definition. SCNN+, GoSPA, DST and ANT read the count instead of
+    /// recounting, and the inner-product machines ignore it, so a caller
+    /// that counts a pair once can hand that count to every machine (the
+    /// parallel runner counts each pair once per op). The caller owns the
+    /// [`SimScratch`] arena, so once it is warm the steady state allocates
+    /// nothing.
+    fn simulate_counted_conv_pair(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        useful: u64,
+        scratch: &mut SimScratch,
+    ) -> SimStats;
+
+    /// [`ConvSim::simulate_counted_conv_pair`] for a pair nobody counted
+    /// yet: counts its useful products on the scratch, then delegates.
     fn simulate_conv_pair_scratch(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
         scratch: &mut SimScratch,
-    ) -> SimStats;
+    ) -> SimStats {
+        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
+        self.simulate_counted_conv_pair(kernel, image, shape, useful, scratch)
+    }
 
     /// [`ConvSim::simulate_conv_pair_scratch`] on this thread's shared
     /// arena ([`with_thread_scratch`]), for callers that keep none.
@@ -149,7 +170,7 @@ pub trait ConvSim: Debug {
     /// result for the pair is computable without cycle-accurate emulation
     /// (see [`crate::analytic`]), `None` when emulation is required.
     ///
-    /// The contract mirrors [`ConvSim::simulate_conv_pair_scratch`]:
+    /// The contract mirrors [`ConvSim::simulate_counted_conv_pair`]:
     /// `Some` results MUST be byte-identical to the emulated path (pinned
     /// by the golden proptests). Callers that substitute this result for a
     /// dispatched job should only do so while detail tracing is off — the

@@ -10,9 +10,12 @@
 //! A pair takes the anticipator's counters-only path
 //! ([`Anticipator::run_conv_counters`], [`Anticipator::run_matmul_counters`]):
 //! the simulator reads only counters, so the functional product is never
-//! computed. Only a conv pair with an accumulator-bank model attached runs
-//! the functional [`Anticipator::run_conv_with`], whose per-cycle output
-//! indices the bank model needs.
+//! computed, and a conv pair's useful-product count is the one the caller
+//! hands in ([`ConvSim::simulate_counted_conv_pair`]), so the pair runs only
+//! its range stage and kernel walk. Only a conv pair with an
+//! accumulator-bank model attached runs the functional
+//! [`Anticipator::run_conv_with`], whose per-cycle output indices the bank
+//! model needs.
 
 use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
@@ -118,11 +121,12 @@ impl ConvSim for AntAccelerator {
         "ANT"
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        useful: u64,
         scratch: &mut SimScratch,
     ) -> SimStats {
         if kernel.nnz() == 0 || image.nnz() == 0 {
@@ -145,7 +149,7 @@ impl ConvSim for AntAccelerator {
             }
             None => self
                 .anticipator
-                .run_conv_counters(kernel, image, shape, ant),
+                .run_conv_counters(kernel, image, shape, useful, ant),
         }
         .expect("operands validated by caller");
         let stats = self.map_counters(&counters, accum_conflicts);

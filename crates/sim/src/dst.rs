@@ -14,7 +14,6 @@
 
 use ant_conv::im2col::duplication_factor;
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_sparse::CsrMatrix;
 
@@ -109,17 +108,17 @@ impl ConvSim for DstAccelerator {
         "DST-like (im2col outer product)"
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
-        scratch: &mut SimScratch,
+        useful: u64,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
         if kernel.nnz() == 0 || image.nnz() == 0 {
             return SimStats::default();
         }
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
         self.simulate(
             useful,
             duplication_factor(shape),

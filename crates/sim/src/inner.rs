@@ -57,11 +57,12 @@ impl ConvSim for DenseInnerProduct {
         "DaDianNao (dense IP)"
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        _useful: u64,
         _scratch: &mut SimScratch,
     ) -> SimStats {
         let stats = self.simulate_macs(
@@ -70,6 +71,18 @@ impl ConvSim for DenseInnerProduct {
         );
         crate::accelerator::trace_pair(self.name(), "conv", kernel, image, &stats);
         stats
+    }
+
+    // Inner-product execution never reads the useful-product count, so an
+    // uncounted pair skips counting it.
+    fn simulate_conv_pair_scratch(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
+        self.simulate_counted_conv_pair(kernel, image, shape, 0, scratch)
     }
 
     fn analytic_conv_pair(
@@ -165,11 +178,12 @@ impl ConvSim for TensorDash {
         "TensorDash (sparse IP)"
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        _useful: u64,
         _scratch: &mut SimScratch,
     ) -> SimStats {
         let rho = kernel.nnz() as f64 / (kernel.rows() * kernel.cols()) as f64;
@@ -180,6 +194,18 @@ impl ConvSim for TensorDash {
         );
         crate::accelerator::trace_pair(self.name(), "conv", kernel, image, &stats);
         stats
+    }
+
+    // Inner-product execution never reads the useful-product count, so an
+    // uncounted pair skips counting it.
+    fn simulate_conv_pair_scratch(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
+        self.simulate_counted_conv_pair(kernel, image, shape, 0, scratch)
     }
 
     fn analytic_conv_pair(

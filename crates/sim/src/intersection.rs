@@ -19,7 +19,6 @@
 //! granularity.
 
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_sparse::{Bitmask, CsrMatrix};
 
@@ -138,14 +137,14 @@ impl ConvSim for IntersectionAccelerator {
         }
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
-        scratch: &mut SimScratch,
+        useful: u64,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
         self.simulate(
             kernel,
             image.nnz(),

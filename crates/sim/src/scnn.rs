@@ -8,16 +8,18 @@
 //! the whole compressed kernel once per stationary image group.
 //!
 //! The model is analytic (no per-product loop): multiplications are
-//! `nnz(kernel) * nnz(image)` by construction and the useful subset comes
-//! from the exact [`ant_conv::rcp::count_useful_products`] counter, so
-//! ImageNet-scale layers simulate in microseconds. The counter never forms
-//! the cartesian product either: a pair's kernel non-zeros are matched
-//! against the image rows they reach, and only an update pair whose large
-//! `G_A` kernel makes that walk dearer than prefix planes over the image
-//! builds the planes ([`ant_conv::rcp::useful_count_path`]).
+//! `nnz(kernel) * nnz(image)` by construction and the useful subset is the
+//! pair's exact useful-product count, which the machine reads
+//! ([`ConvSim::simulate_counted_conv_pair`]): given that count, a pair is
+//! closed-form, so ImageNet-scale layers simulate in microseconds. The
+//! parallel runner counts each pair once per op and hands the count to
+//! every machine; an uncounted pair is counted by
+//! [`ant_conv::rcp::count_useful_products_with`], which never forms the
+//! cartesian product either: it matches kernel non-zeros against the image
+//! rows they reach, or ANDs kernel rows against shifted image rows as bit
+//! masks where that is cheaper ([`ant_conv::rcp::useful_count_path`]).
 
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_sparse::CsrMatrix;
 
@@ -69,23 +71,24 @@ impl ConvSim for ScnnPlus {
         "SCNN+"
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
-        scratch: &mut SimScratch,
+        useful: u64,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
         debug_assert_eq!(kernel.shape(), (shape.kernel_h(), shape.kernel_w()));
         debug_assert_eq!(image.shape(), (shape.image_h(), shape.image_w()));
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
         let stats = self.simulate_products(kernel.nnz(), image.nnz(), kernel.rows(), useful);
         crate::accelerator::trace_pair(self.name(), "conv", kernel, image, &stats);
         stats
     }
 
-    // No `analytic_conv_pair`: the useful-product count requires a pass
-    // over the operands' index structure, so SCNN+ pairs always dispatch.
+    // No `analytic_conv_pair`: an uncounted pair's useful-product count
+    // needs a pass over the operands' index structure, so SCNN+ pairs
+    // dispatch; a counted pair is closed-form.
 }
 
 impl MatmulSim for ScnnPlus {

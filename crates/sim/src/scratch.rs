@@ -2,7 +2,7 @@
 //!
 //! Simulating a network runs hundreds of thousands of kernel/image pairs
 //! through the machines. Each pair's working set (anticipator buffers,
-//! prefix-sum planes, per-column counts) is shape-bounded and identical in
+//! useful-count row masks, per-column counts) is shape-bounded and identical in
 //! structure from pair to pair, so one [`SimScratch`] per worker amortizes
 //! every allocation: after the first pair warms the buffers up to the
 //! largest shapes seen, the steady state performs **zero** heap allocations
@@ -37,12 +37,12 @@ use ant_core::AntScratch;
 /// [`MatmulSim::simulate_matmul_pair_scratch`](crate::MatmulSim::simulate_matmul_pair_scratch).
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    /// Anticipator working memory (entries, range tables, scan, output,
-    /// the useful counter's planes). ANT's pairs take the counters-only
-    /// path, which leaves the output untouched; only a banked ANT fills it.
+    /// Anticipator working memory (entries, range tables, scan, output).
+    /// ANT's pairs take the counters-only path, which leaves the output
+    /// untouched; only a banked ANT fills it.
     pub ant: AntScratch,
-    /// Prefix-sum planes for exact useful-product counting
-    /// (SCNN+/DST/intersection conv paths).
+    /// Row masks for counting an uncounted pair's useful products
+    /// ([`ConvSim::simulate_conv_pair_scratch`](crate::ConvSim::simulate_conv_pair_scratch)).
     pub nz_counter: NzCounterScratch,
     /// Per-column non-zero counts for matmul outer products.
     pub col_nnz: Vec<u64>,

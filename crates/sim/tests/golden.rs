@@ -6,8 +6,8 @@
 //! byte-identical [`ant_sim::SimStats`] (which embeds the full
 //! `CycleBreakdown`). The useful-product counts are additionally pinned to a
 //! retained brute-force reference implementation, so the optimized
-//! prefix-sum / word-parallel kernels cannot drift from the semantic
-//! definition.
+//! row-walk and word-parallel row-mask kernels cannot drift from the
+//! semantic definition.
 
 use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
@@ -25,9 +25,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The retained reference implementations: the straightforward
-/// `O(nnz_kernel * nnz_image)` definitions that predate the prefix-sum and
-/// word-parallel fast paths. Slow, obviously correct, and kept here solely
-/// as the oracle for the golden tests.
+/// `O(nnz_kernel * nnz_image)` definitions that predate the fast paths.
+/// Slow, obviously correct, and kept here solely as the oracle for the
+/// golden tests.
 mod reference {
     use super::*;
 

@@ -306,8 +306,9 @@ fn fig09_and_table5_match_the_paper() {
 
 /// A machine that runs every pair it is handed through both of ANT's conv
 /// paths, the functional `run_conv_with` and the counters-only
-/// `run_conv_counters`, under the paper configuration and both Fig. 14
-/// ablations, and records each pair whose counters differ.
+/// `run_conv_counters` (on the useful count the provided pair method
+/// computed), under the paper configuration and both Fig. 14 ablations,
+/// and records each pair whose counters differ.
 #[derive(Debug, Default)]
 struct BothAntPaths {
     pairs: Cell<u64>,
@@ -319,11 +320,12 @@ impl ConvSim for BothAntPaths {
         "ANT paths"
     }
 
-    fn simulate_conv_pair_scratch(
+    fn simulate_counted_conv_pair(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        useful: u64,
         scratch: &mut SimScratch,
     ) -> SimStats {
         let paper = AntConfig::paper_default();
@@ -343,7 +345,7 @@ impl ConvSim for BothAntPaths {
                 .run_conv_with(kernel, image, shape, &mut scratch.ant, |_| {})
                 .expect("runner pairs match their shape");
             let counters = ant
-                .run_conv_counters(kernel, image, shape, &mut scratch.ant)
+                .run_conv_counters(kernel, image, shape, useful, &mut scratch.ant)
                 .expect("runner pairs match their shape");
             if counters != functional {
                 self.mismatches.borrow_mut().push(format!(
