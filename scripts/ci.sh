@@ -26,6 +26,9 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
   --manifest-path perfbench/Cargo.toml
 
 echo "== bench_history smoke (tiny record + self-compare must be clean)"
+# The smokes below keep their files under target/experiments, which no
+# earlier stage needs to create.
+mkdir -p target/experiments
 HISTORY_SMOKE="target/experiments/ci_bench_history_smoke.jsonl"
 rm -f "$HISTORY_SMOKE"
 cargo run --release -q -p ant-bench --bin bench_history -- \
