@@ -414,9 +414,7 @@ fn count_useful_by_masks(
     image_masks.clear();
     image_masks.resize(shape.image_h() * row_words, 0);
     for (y, x, _) in image.iter() {
-        // Dilation 1 (the update pairs of stride-1 layers) needs no
-        // integer division per non-zero.
-        let (p, j) = if d == 1 { (0, x) } else { (x % d, x / d) };
+        let (p, j) = (x % d, x / d);
         image_masks[y * row_words + p * image_words + j / 64] |= 1 << (j % 64);
     }
     columns.clear();
@@ -438,18 +436,10 @@ fn count_useful_by_masks(
                 continue;
             }
             let i_row = &image_masks[y * row_words..(y + 1) * row_words];
-            // One-word kernel rows (S <= 64: every Fig. 9 update pair but
-            // ResNet-50's stem) skip the per-word loop.
-            if let [k] = *k_row {
-                for &(start, bits) in columns.iter() {
-                    useful += and_shifted_count(k, i_row[start], i_row[start + 1], bits);
-                }
-            } else {
-                for &(start, bits) in columns.iter() {
-                    for (w, &k) in k_row.iter().enumerate() {
-                        let (lo, hi) = (i_row[start + w], i_row[start + w + 1]);
-                        useful += and_shifted_count(k, lo, hi, bits);
-                    }
+            for &(start, bits) in columns.iter() {
+                for (w, &k) in k_row.iter().enumerate() {
+                    let (lo, hi) = (i_row[start + w], i_row[start + w + 1]);
+                    useful += and_shifted_count(k, lo, hi, bits);
                 }
             }
         }
