@@ -19,8 +19,8 @@
 //! * `fingerprint` — once-per-layer content keying for the simulation
 //!   cache ([`KeyBuilder::write_csr`] over a ResNet-scale plane).
 //! * `useful_count_fwd` / `useful_count_upd` — the exact useful-product
-//!   counter the parallel runner's synthesis workers run once per pair
-//!   ([`count_useful_products_with`]) on the ResNet-50 stem's forward pair
+//!   counter the parallel runner's pair jobs run at most once per pair per
+//!   op ([`count_useful_products_with`]) on the ResNet-50 stem's forward pair
 //!   (the row walk at 90% sparsity) and update pair (the row masks),
 //!   reusing one [`NzCounterScratch`] like the runner.
 //! * `ant_pair_fwd` / `ant_pair_upd` — ANT's pair on a counted pair

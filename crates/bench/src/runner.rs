@@ -692,34 +692,45 @@ fn truncated_csr_error(kernel: &CsrMatrix) -> AntError {
     }
 }
 
-/// Simulates one pair, whose useful products number `useful`, behind the
-/// isolation boundary, applying an injected chaos fault if one is
-/// scheduled for this attempt.
+/// Simulates pair `task` of `work` behind the isolation boundary, applying
+/// an injected chaos fault if one is scheduled for this attempt. The pair's
+/// operands are resolved and its useful products counted
+/// ([`LayerWork::useful_products`]) inside the boundary too, so a panic in
+/// either comes back as a typed error and the pair is retried.
 fn run_pair_job<S: ConvSim + Sync + ?Sized>(
     pe: &S,
-    (kernel, image, shape): PairRef<'_>,
-    useful: u64,
+    work: &LayerWork,
+    task: PairTask,
     fault: Option<Fault>,
     scratch: &mut SimScratch,
 ) -> Result<SimStats, AntError> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match fault {
-        Some(Fault::WorkerPanic) => panic!("chaos: injected worker panic"),
-        Some(Fault::TruncatedCsr) => Err(truncated_csr_error(kernel)),
-        Some(Fault::CorruptShape) => {
-            // A shape that disagrees with the operands: either construction
-            // fails (kernel outgrew the image) or the operand check does.
-            let shape = ConvShape::new(
-                shape.kernel_h() + 1,
-                shape.kernel_w() + 1,
-                shape.image_h(),
-                shape.image_w(),
-                shape.stride(),
-            )?;
-            pe.try_simulate_conv_pair(kernel, image, &shape, scratch)
-        }
-        None => {
-            validate_conv_pair(pe.name(), kernel, image, shape)?;
-            Ok(pe.simulate_counted_conv_pair(kernel, image, shape, useful, scratch))
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let (kernel, image, shape) = work.pair(task);
+        match fault {
+            Some(Fault::WorkerPanic) => panic!("chaos: injected worker panic"),
+            Some(Fault::TruncatedCsr) => Err(truncated_csr_error(kernel)),
+            Some(Fault::CorruptShape) => {
+                // A shape that disagrees with the operands: either
+                // construction fails (kernel outgrew the image) or the
+                // operand check does.
+                let shape = ConvShape::new(
+                    shape.kernel_h() + 1,
+                    shape.kernel_w() + 1,
+                    shape.image_h(),
+                    shape.image_w(),
+                    shape.stride(),
+                )?;
+                pe.try_simulate_conv_pair(kernel, image, &shape, scratch)
+            }
+            None => {
+                validate_conv_pair(pe.name(), kernel, image, shape)?;
+                let useful = if pe.reads_useful_count() {
+                    work.useful_products(task, &mut scratch.nz_counter)
+                } else {
+                    0
+                };
+                Ok(pe.simulate_counted_conv_pair(kernel, image, shape, useful, scratch))
+            }
         }
     }));
     match outcome {
@@ -1085,10 +1096,9 @@ pub fn held_operand_layers(net: &NetworkModel, cfg: &ExperimentConfig) -> usize 
 /// Returns the synthesized operands of every `pending` layer, one slot per
 /// layer of `net`. Layers the operand slot holds under this call's key are
 /// shared from it; a slot under another key is dropped before anything is
-/// synthesized. The rest are synthesized and their pairs' useful products
-/// counted ([`LayerWork::counted`]) on up to `threads` workers that claim
-/// indices from a shared atomic (each layer's RNG seed derives from its
-/// index alone, so synthesis order is free) and stored in the slot.
+/// synthesized. The rest are synthesized on up to `threads` workers that
+/// claim indices from a shared atomic (each layer's RNG seed derives from
+/// its index alone, so synthesis order is free) and stored in the slot.
 /// The calling thread is one of the workers, so a single worker spawns
 /// nothing (thread spawns dominate sub-millisecond work).
 fn synthesize_layers(
@@ -1119,16 +1129,11 @@ fn synthesize_layers(
     let slots: Vec<OnceLock<Result<LayerWork, AntError>>> =
         (0..net.layers.len()).map(|_| OnceLock::new()).collect();
     let next_missing = AtomicUsize::new(0);
-    let synth_loop = || {
-        let mut scratch = NzCounterScratch::new();
-        loop {
-            let i = next_missing.fetch_add(1, Ordering::Relaxed);
-            let Some(&li) = missing.get(i) else { break };
-            let work = synthesize_layer_work(&net.layers[li], li, cfg)
-                .map(|work| work.counted(&mut scratch));
-            let stored = slots[li].set(work);
-            debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
-        }
+    let synth_loop = || loop {
+        let i = next_missing.fetch_add(1, Ordering::Relaxed);
+        let Some(&li) = missing.get(i) else { break };
+        let stored = slots[li].set(synthesize_layer_work(&net.layers[li], li, cfg));
+        debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
     };
     // Spawned workers enter the caller's open spans, so a layer's
     // `synthesize_layer` span has one path whichever thread drew it.
@@ -1365,11 +1370,6 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
             continue;
         };
         let phase = TrainingPhase::ALL[task.phase];
-        let channels = work.trace.in_channels();
-        let pair = work
-            .trace
-            .pair(phase, task.pair / channels, task.pair % channels);
-        let useful = work.useful(task.phase, task.pair);
         let job_started = settings.budget_us.map(|_| {
             let slot = &pool.watch[me];
             slot.task.store(encode_task(task), Ordering::Relaxed);
@@ -1386,7 +1386,7 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
                 .chaos
                 .and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
         };
-        let mut result = run_pair_job(pool.pe, pair, useful, fault(0), &mut scratch);
+        let mut result = run_pair_job(pool.pe, work, task, fault(0), &mut scratch);
         let mut attempts = 1u32;
         if result.is_err() {
             out.retries += 1;
@@ -1397,7 +1397,7 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
             // on a fresh one (failure path only — the clean path stays
             // allocation-free).
             scratch = SimScratch::new();
-            result = run_pair_job(pool.pe, pair, useful, fault(1), &mut scratch);
+            result = run_pair_job(pool.pe, work, task, fault(1), &mut scratch);
             attempts = 2;
             if result.is_ok() {
                 out.retried.push(PairRetry {
@@ -1722,32 +1722,48 @@ struct LayerWork {
     /// The sampled planes, with the backward phase's derived once.
     trace: ConvTrace,
     /// Every pair's exact useful-product count, phase by phase in
-    /// [`TrainingPhase::ALL`] order and each phase in
-    /// [`ConvTrace::pairs`] order ([`LayerWork::counted`]). The parallel
-    /// runner's synthesis workers fill it, so every machine call on the
-    /// operand slot reads one count per pair per op. The serial runner
-    /// leaves it empty and counts per machine call, through
+    /// [`TrainingPhase::ALL`] order and each phase in [`ConvTrace::pairs`]
+    /// order, or [`NOT_COUNTED`] until a pair job counts it
+    /// ([`LayerWork::useful_products`]). The first job on a machine that
+    /// reads counts does, and every later machine call on the operand slot
+    /// reads the stored count, so a pair is counted at most once per op and
+    /// never when the analytic tier or the cache answers it. The serial
+    /// runner leaves it unread and counts per machine call, through
     /// [`ConvSim::simulate_conv_pair_scratch`], as the independent
     /// reference. The counts live here, not in the [`ConvTrace`], so
     /// decoding a trace bundle never counts.
-    useful: Vec<u64>,
+    useful: Box<[AtomicU64]>,
 }
 
+/// [`LayerWork::useful`]'s mark for a pair no job has counted yet. No count
+/// reaches it: a pair has at most `nnz(kernel) * nnz(image)` products.
+const NOT_COUNTED: u64 = u64::MAX;
+
 impl LayerWork {
-    /// This layer with every pair's useful products counted on `scratch`.
-    fn counted(mut self, scratch: &mut NzCounterScratch) -> Self {
-        self.useful = TrainingPhase::ALL
-            .into_iter()
-            .flat_map(|phase| self.trace.pairs(phase))
-            .map(|(kernel, image, shape)| count_useful_products_with(kernel, image, shape, scratch))
-            .collect();
-        self
+    /// The operands of pair `task.pair` of phase `task.phase` (an index
+    /// into [`TrainingPhase::ALL`]).
+    fn pair(&self, task: PairTask) -> PairRef<'_> {
+        let channels = self.trace.in_channels();
+        let phase = TrainingPhase::ALL[task.phase];
+        self.trace
+            .pair(phase, task.pair / channels, task.pair % channels)
     }
 
-    /// The useful-product count of pair `pair` of phase `phase` (an index
-    /// into [`TrainingPhase::ALL`]), as [`LayerWork::counted`] stored it.
-    fn useful(&self, phase: usize, pair: usize) -> u64 {
-        self.useful[phase * self.trace.pair_count() + pair]
+    /// The useful-product count of `task`'s pair: the stored one, or, if
+    /// no job has counted it yet, counted on `scratch` and stored. Two runs
+    /// that share the operand slot may both count a pair; they store the
+    /// same number.
+    fn useful_products(&self, task: PairTask, scratch: &mut NzCounterScratch) -> u64 {
+        let stored = &self.useful[task.phase * self.trace.pair_count() + task.pair];
+        match stored.load(Ordering::Relaxed) {
+            NOT_COUNTED => {
+                let (kernel, image, shape) = self.pair(task);
+                let useful = count_useful_products_with(kernel, image, shape, scratch);
+                stored.store(useful, Ordering::Relaxed);
+                useful
+            }
+            useful => useful,
+        }
     }
 }
 
@@ -1851,8 +1867,10 @@ fn synthesize_layer_work(
     Ok(LayerWork {
         scale: synth.channel_scale * layer.count as f64,
         channel_scale: synth.channel_scale,
+        useful: (0..TrainingPhase::ALL.len() * synth.trace.pair_count())
+            .map(|_| AtomicU64::new(NOT_COUNTED))
+            .collect(),
         trace: synth.trace,
-        useful: Vec::new(),
     })
 }
 
@@ -2043,6 +2061,7 @@ pub fn energy_ratio(
 mod tests {
     use super::*;
     use ant_sim::ant::AntAccelerator;
+    use ant_sim::inner::DenseInnerProduct;
     use ant_sim::scnn::ScnnPlus;
     use ant_workloads::models;
 
@@ -2425,6 +2444,59 @@ mod tests {
                 .count()
                 > 0
         );
+    }
+
+    /// Pair 0 of the update phase of the tiny net's first layer, as the
+    /// runner synthesizes it.
+    fn tiny_update_pair() -> (LayerWork, PairTask) {
+        let cfg = ExperimentConfig::paper_default();
+        let work = synthesize_layer_work(&tiny_net().layers[0], 0, &cfg).unwrap();
+        let task = PairTask {
+            layer: 0,
+            phase: 2,
+            pair: 0,
+        };
+        (work, task)
+    }
+
+    #[test]
+    fn a_pair_is_counted_once_and_only_for_machines_that_read_counts() {
+        let (work, task) = tiny_update_pair();
+        let stored = &work.useful[2 * work.trace.pair_count()];
+        let mut scratch = SimScratch::new();
+        let dense = DenseInnerProduct::paper_default();
+        run_pair_job(&dense, &work, task, None, &mut scratch).unwrap();
+        assert_eq!(stored.load(Ordering::Relaxed), NOT_COUNTED);
+
+        let scnn = ScnnPlus::paper_default();
+        let first = run_pair_job(&scnn, &work, task, None, &mut scratch).unwrap();
+        let (kernel, image, shape) = work.pair(task);
+        let exact = ant_conv::rcp::count_useful_products(kernel, image, shape);
+        assert!(exact > 0, "the pair must have useful products to check");
+        assert_eq!(stored.load(Ordering::Relaxed), exact);
+        assert_eq!(first, scnn.simulate_conv_pair(kernel, image, shape));
+        // A later call reads the stored count instead of recounting.
+        stored.store(exact - 1, Ordering::Relaxed);
+        let later = run_pair_job(&scnn, &work, task, None, &mut scratch).unwrap();
+        assert_eq!(later.useful_mults, exact - 1);
+    }
+
+    #[test]
+    fn a_panic_while_counting_a_pair_is_a_typed_error() {
+        let (mut work, task) = tiny_update_pair();
+        // A count table too short for the trace: looking the count up
+        // panics inside the pair job.
+        work.useful = Box::new([]);
+        let mut scratch = SimScratch::new();
+        let scnn = ScnnPlus::paper_default();
+        let error = run_pair_job(&scnn, &work, task, None, &mut scratch).unwrap_err();
+        assert!(
+            matches!(&error, AntError::Panic { context, .. } if context == "pair job"),
+            "{error}"
+        );
+        // A machine that reads no count never looks it up.
+        let dense = DenseInnerProduct::paper_default();
+        run_pair_job(&dense, &work, task, None, &mut scratch).unwrap();
     }
 
     #[test]

@@ -115,9 +115,11 @@ pub trait ConvSim: Debug {
     /// [`count_useful_products_with`] returns for these operands), returning
     /// per-pair operation and cycle counts. This is the machine's
     /// definition. SCNN+, GoSPA, DST and ANT read the count instead of
-    /// recounting, and the inner-product machines ignore it, so a caller
-    /// that counts a pair once can hand that count to every machine (the
-    /// parallel runner counts each pair once per op). The caller owns the
+    /// recounting, and the inner-product machines ignore it
+    /// ([`ConvSim::reads_useful_count`]), so a caller that counts a pair
+    /// once can hand that count to every machine (the parallel runner
+    /// counts each pair at most once per op, in the first pair job that
+    /// reads it). The caller owns the
     /// [`SimScratch`] arena, so once it is warm the steady state allocates
     /// nothing.
     fn simulate_counted_conv_pair(
@@ -129,8 +131,16 @@ pub trait ConvSim: Debug {
         scratch: &mut SimScratch,
     ) -> SimStats;
 
+    /// Whether [`ConvSim::simulate_counted_conv_pair`] reads its `useful`
+    /// argument. The inner-product machines do not, so a caller hands them
+    /// 0 and skips counting.
+    fn reads_useful_count(&self) -> bool {
+        true
+    }
+
     /// [`ConvSim::simulate_counted_conv_pair`] for a pair nobody counted
-    /// yet: counts its useful products on the scratch, then delegates.
+    /// yet: counts its useful products on the scratch if the machine reads
+    /// them ([`ConvSim::reads_useful_count`]), then delegates.
     fn simulate_conv_pair_scratch(
         &self,
         kernel: &CsrMatrix,
@@ -138,7 +148,11 @@ pub trait ConvSim: Debug {
         shape: &ConvShape,
         scratch: &mut SimScratch,
     ) -> SimStats {
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
+        let useful = if self.reads_useful_count() {
+            count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter)
+        } else {
+            0
+        };
         self.simulate_counted_conv_pair(kernel, image, shape, useful, scratch)
     }
 

@@ -73,16 +73,9 @@ impl ConvSim for DenseInnerProduct {
         stats
     }
 
-    // Inner-product execution never reads the useful-product count, so an
-    // uncounted pair skips counting it.
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        self.simulate_counted_conv_pair(kernel, image, shape, 0, scratch)
+    // Inner-product execution never reads the useful-product count.
+    fn reads_useful_count(&self) -> bool {
+        false
     }
 
     fn analytic_conv_pair(
@@ -196,16 +189,9 @@ impl ConvSim for TensorDash {
         stats
     }
 
-    // Inner-product execution never reads the useful-product count, so an
-    // uncounted pair skips counting it.
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        self.simulate_counted_conv_pair(kernel, image, shape, 0, scratch)
+    // Inner-product execution never reads the useful-product count.
+    fn reads_useful_count(&self) -> bool {
+        false
     }
 
     fn analytic_conv_pair(

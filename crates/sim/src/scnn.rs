@@ -12,8 +12,9 @@
 //! pair's exact useful-product count, which the machine reads
 //! ([`ConvSim::simulate_counted_conv_pair`]): given that count, a pair is
 //! closed-form, so ImageNet-scale layers simulate in microseconds. The
-//! parallel runner counts each pair once per op and hands the count to
-//! every machine; an uncounted pair is counted by
+//! parallel runner counts each pair at most once per op, in the first pair
+//! job that reads the count, and hands it to every later machine; a pair
+//! is counted by
 //! [`ant_conv::rcp::count_useful_products_with`], which never forms the
 //! cartesian product either: it matches kernel non-zeros against the image
 //! rows they reach, or ANDs kernel rows against shifted image rows as bit
