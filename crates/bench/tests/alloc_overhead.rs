@@ -101,6 +101,9 @@ fn trace_bundle_decode_allocates_in_proportion_to_its_input() {
     use ant_workloads::ConvLayerSpec;
     use rand::SeedableRng;
 
+    // Synthesis opens a span, so it runs under the guard too: a span test
+    // holding the guard must record only its own spans.
+    let _guard = alloc_guard().lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let spec = ConvLayerSpec::new("bundle", 3, 2, 3, 10, 2, 1, 1);
     let trace = synthesize_layer(&spec, &LayerSparsity::uniform(0.8), 4, &mut rng).trace;
@@ -115,7 +118,6 @@ fn trace_bundle_decode_allocates_in_proportion_to_its_input() {
         cases.push(bundle[..cut].to_vec());
     }
 
-    let _guard = alloc_guard().lock().unwrap_or_else(|e| e.into_inner());
     ant_obs::alloc::enable();
     for case in &cases {
         let before = ant_obs::alloc::snapshot();
