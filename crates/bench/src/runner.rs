@@ -1752,7 +1752,8 @@ impl LayerWork {
     /// The useful-product count of `task`'s pair: the stored one, or, if
     /// no job has counted it yet, counted on `scratch` and stored. Two runs
     /// that share the operand slot may both count a pair; they store the
-    /// same number.
+    /// same number. The count publishes no other data, so `Relaxed`
+    /// suffices.
     fn useful_products(&self, task: PairTask, scratch: &mut NzCounterScratch) -> u64 {
         let stored = &self.useful[task.phase * self.trace.pair_count() + task.pair];
         match stored.load(Ordering::Relaxed) {
