@@ -17,10 +17,9 @@
 //! the sidecar is always written — `ANT_PROFILE` gates only library-side use.
 //!
 //! With `ANT_TELEMETRY=1` *and* `ANT_PROFILE=1` set, the sidecar
-//! additionally carries one host-time process per machine with per-worker
-//! tracks from the work-stealing scheduler — job spans (`pair`/`steal`)
-//! and deque-depth counters in wall microseconds (see
-//! `docs/OBSERVABILITY.md`, "Scheduler telemetry").
+//! additionally carries one host-time process per machine with one track
+//! per runner pool worker — a `pair` slice per job in wall microseconds
+//! (see `docs/OBSERVABILITY.md`, "Scheduler telemetry").
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};

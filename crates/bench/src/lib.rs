@@ -28,7 +28,7 @@
 //!   binary): hot kernels timed in isolation over the sparsity grid,
 //!   recorded as `kernel/...` ledger metrics with their own regression
 //!   gates, so a wall-time regression can be attributed to one kernel.
-//! * [`telemetry`] — scheduler-telemetry export: per-worker Perfetto
+//! * [`telemetry`] — pool-telemetry export: per-worker Perfetto
 //!   tracks (host time) and the manifest `host`-section worker
 //!   utilization table, fed by the runner's `ANT_TELEMETRY` counters.
 //! * [`obsctl`] — the unified offline analysis CLI (`obsctl` binary) over

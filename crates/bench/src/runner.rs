@@ -7,7 +7,7 @@
 //! (`max_channels`), and the sampled counters are scaled linearly back to
 //! the full layer (and by the layer's multiplicity).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
@@ -65,7 +65,8 @@ impl ExperimentConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Worker count. `None` (or `Some(0)`) sizes to the available CPUs;
-    /// a resolved count of 1 runs inline with no thread spawns.
+    /// a resolved count of 1 runs inline with no thread spawns. The pair
+    /// stage runs no more workers than it has runs of 16 jobs to claim.
     pub threads: Option<usize>,
     /// Wall-clock budget per pair job, in microseconds. When set, a
     /// watchdog thread flags in-flight jobs exceeding it (they are *not*
@@ -73,8 +74,8 @@ pub struct RunOptions {
     /// completed over-budget jobs are reported in
     /// [`FailureReport::slow`]. `None` falls back to `ANT_PAIR_BUDGET_US`.
     pub pair_budget_us: Option<u64>,
-    /// Per-worker scheduler telemetry (busy/idle timing, steal and deque
-    /// counters surfaced as `runner.worker.*` metrics and
+    /// Per-worker pool telemetry (job counts and busy/idle timing,
+    /// surfaced as `runner.worker.*` metrics and
     /// [`NetworkResult::workers`]). `None` falls back to `ANT_TELEMETRY`.
     /// The flag is resolved **once per run** into a plain bool captured by
     /// the worker closures, so the disabled path costs zero atomic
@@ -151,7 +152,7 @@ pub struct SlowJob {
 
 /// Everything that went wrong (or was merely slow) during one network run.
 /// Deterministically ordered by `(layer, phase, pair)` regardless of worker
-/// count or steal order.
+/// count or which worker ran which job.
 #[derive(Debug, Clone, Default)]
 pub struct FailureReport {
     /// Quarantined pair jobs (failed twice; counters missing from stats).
@@ -194,7 +195,7 @@ pub trait LayerCheckpoint {
     fn record(&mut self, layer_index: usize, layer_name: &str, phases: &[SimStats; 3], clean: bool);
 }
 
-/// Per-worker scheduler telemetry from one parallel run, collected when
+/// Per-worker pool telemetry from one parallel run, collected when
 /// [`RunOptions::telemetry`] (or `ANT_TELEMETRY`) is on. Everything here is
 /// host-side bookkeeping — the simulated counters are untouched, so a run
 /// with telemetry on is byte-identical to one with it off.
@@ -202,22 +203,13 @@ pub trait LayerCheckpoint {
 pub struct WorkerTelemetry {
     /// Worker index (0-based, dense).
     pub worker: usize,
-    /// Pair jobs this worker completed (own deque + stolen).
+    /// Pair jobs this worker ran.
     pub executed: u64,
-    /// Jobs this worker stole from other workers' deques.
-    pub stolen: u64,
-    /// Steal probes issued (a probe locks one victim deque and tries a
-    /// back-pop).
-    pub steal_attempts: u64,
-    /// Steal probes that found the victim's deque empty.
-    pub failed_steals: u64,
-    /// Jobs dealt to this worker's deque up front. Jobs are never pushed
-    /// after dealing, so this is also the deque's high-water mark.
-    pub dealt: u64,
     /// Nanoseconds spent executing pair jobs (including retries).
     pub busy_ns: u64,
-    /// Nanoseconds alive but not executing jobs: scheduling overhead, lock
-    /// waits, and the tail wait after the pool drains.
+    /// Nanoseconds alive but not executing jobs: claiming runs from the
+    /// cursor, progress publishing, and the tail wait after the pool
+    /// drains.
     pub idle_ns: u64,
     /// Total wall nanoseconds from worker start to exit.
     pub wall_ns: u64,
@@ -251,10 +243,6 @@ pub struct JobSlice {
     pub phase: usize,
     /// Pair index within the phase.
     pub pair: usize,
-    /// Whether the job was stolen from another worker's deque.
-    pub stolen: bool,
-    /// The worker's own deque length right after this job was claimed.
-    pub deque_len: u64,
 }
 
 /// Aggregated result of simulating one network on one machine.
@@ -420,7 +408,7 @@ fn finish_network(result: &mut NetworkResult, num_pes: usize, started: &Instant)
 }
 
 /// Parallel variant of [`simulate_network`]: pair-granularity jobs run on a
-/// work-stealing worker pool sized to the available CPUs (see
+/// worker pool sized to the available CPUs (see
 /// [`try_simulate_network_parallel`]; results are bit-identical to the
 /// serial runner for any worker count).
 ///
@@ -750,13 +738,13 @@ struct WorkerOutput {
     /// The layer of each job this worker drained unexecuted after the run
     /// deadline passed.
     skipped: Vec<usize>,
-    /// Scheduler telemetry. The job and steal counts are always kept; the
-    /// timings and slices only when telemetry is on for the run.
+    /// Pool telemetry. The job count is always kept; the timings and slices
+    /// only when telemetry is on for the run.
     telemetry: WorkerTelemetry,
 }
 
-/// One pair-granularity unit for the work-stealing scheduler: indices into
-/// the synthesized [`LayerWork`] table.
+/// One pair-granularity unit of the pair pool: indices into the synthesized
+/// [`LayerWork`] table.
 #[derive(Debug, Clone, Copy)]
 struct PairTask {
     layer: usize,
@@ -854,7 +842,7 @@ struct Dispatched {
     /// empty when that tier is off.
     analytic: Vec<SimStats>,
     analytic_pairs: u64,
-    /// Pair jobs dealt to the pool.
+    /// Pair jobs run on the pool.
     jobs: usize,
     workers: usize,
     /// The live-progress counters and the run's fixed status fields, for
@@ -862,12 +850,16 @@ struct Dispatched {
     progress: Option<(ProgressShared, ant_obs::RunStatus)>,
 }
 
-/// One worker's deque and the number of jobs dealt to it. Nothing is pushed
-/// after the deal, so that number is also the deque's high-water mark.
-struct Deque {
-    jobs: Mutex<VecDeque<PairTask>>,
-    dealt: u64,
-}
+/// Consecutive pair jobs a worker claims from [`Pool::cursor`] at once.
+/// Jobs are in serial order, so a run is mostly one layer's like-shaped
+/// pairs and the worker's [`SimScratch`] stays warm across it. A run also
+/// keeps two workers off each other's cache lines: on 2 vCPUs, claiming
+/// single jobs lost 7 of 8 interleaved `fig09-cold` pairs against
+/// per-worker deques (`op_ms.p50` median 22.15 vs 19.67 ms), because both
+/// workers bumped the cursor's line and stored into each other's
+/// [`LayerWork::useful`] lines. Sixteen `u64` counts fill two 64-byte
+/// lines; runs of 16 read 21.46 vs 22.71 ms against the deques.
+const CLAIM: usize = 16;
 
 /// Everything the pool's workers share, borrowed by each of them.
 struct Pool<'a, S: ?Sized> {
@@ -876,7 +868,13 @@ struct Pool<'a, S: ?Sized> {
     layers: &'a [LayerPlan],
     settings: RunSettings,
     run_start: Instant,
-    deques: Vec<Deque>,
+    /// Every pair job of the run, in serial simulation order. Nothing is
+    /// added once the workers start.
+    jobs: Vec<PairTask>,
+    /// Index of the first job no worker has claimed yet; may run past the
+    /// end once the pool drains. `jobs` is complete before any worker
+    /// starts, so the cursor publishes no data and `Relaxed` suffices.
+    cursor: AtomicUsize,
     watch: Vec<WatchSlot>,
     /// Keep per-job Perfetto slices: only worth their memory when both
     /// telemetry and the profiler sidecar are on.
@@ -888,7 +886,7 @@ struct Pool<'a, S: ?Sized> {
     layer_remaining: Vec<AtomicU64>,
 }
 
-/// The work-stealing runner behind every parallel entry point, in three
+/// The pooled runner behind every parallel entry point, in three
 /// stages, each bit-identical to [`simulate_network`]: [`plan`] decides
 /// which layers merge from storage and synthesizes the rest, [`dispatch`]
 /// simulates the fresh layers' pairs on the worker pool, and [`merge`]
@@ -917,7 +915,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         .record("machine", pe.name())
         .record("threads", dispatched.workers)
         .record("parallel", true)
-        .record("scheduler", "work-steal")
         .record("jobs", dispatched.jobs)
         .record("resumed_layers", plan.resumed);
     if identity.is_some() {
@@ -940,7 +937,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
             .add(merged.analytic_pairs);
     }
     finish_network(&mut merged, cfg.num_pes, &started);
-    let jobs_stolen: u64 = dispatched.outputs.iter().map(|o| o.telemetry.stolen).sum();
     if settings.telemetry {
         merged.workers = dispatched
             .outputs
@@ -960,7 +956,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
     }
     if span.is_recording() {
         span.record("layers", net.layers.len());
-        span.record("jobs_stolen", jobs_stolen);
         span.record("jobs_failed", merged.failures.failures.len());
         span.record("job_retries", merged.failures.retries);
         span.record("partial", merged.partial);
@@ -1096,11 +1091,10 @@ pub fn held_operand_layers(net: &NetworkModel, cfg: &ExperimentConfig) -> usize 
 /// Returns the synthesized operands of every `pending` layer, one slot per
 /// layer of `net`. Layers the operand slot holds under this call's key are
 /// shared from it; a slot under another key is dropped before anything is
-/// synthesized. The rest are synthesized on up to `threads` workers that
-/// claim indices from a shared atomic (each layer's RNG seed derives from
-/// its index alone, so synthesis order is free) and stored in the slot.
-/// The calling thread is one of the workers, so a single worker spawns
-/// nothing (thread spawns dominate sub-millisecond work).
+/// synthesized. The rest are synthesized on a pool ([`run_pool`]) of up to
+/// `threads` workers that claim one layer at a time from a shared cursor
+/// (each layer's RNG seed derives from its index alone, so synthesis order
+/// is free) and stored in the slot.
 fn synthesize_layers(
     net: &NetworkModel,
     cfg: &ExperimentConfig,
@@ -1129,24 +1123,12 @@ fn synthesize_layers(
     let slots: Vec<OnceLock<Result<LayerWork, AntError>>> =
         (0..net.layers.len()).map(|_| OnceLock::new()).collect();
     let next_missing = AtomicUsize::new(0);
-    let synth_loop = || loop {
+    run_pool(threads.clamp(1, missing.len()), None, |_| loop {
         let i = next_missing.fetch_add(1, Ordering::Relaxed);
         let Some(&li) = missing.get(i) else { break };
         let stored = slots[li].set(synthesize_layer_work(&net.layers[li], li, cfg));
         debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
-    };
-    // Spawned workers enter the caller's open spans, so a layer's
-    // `synthesize_layer` span has one path whichever thread drew it.
-    let context = ant_obs::span_context();
-    std::thread::scope(|scope| {
-        for _ in 1..threads.clamp(1, missing.len()) {
-            scope.spawn(|| {
-                let _entered = context.enter();
-                synth_loop()
-            });
-        }
-        synth_loop();
-    });
+    })?;
     for (layer, synthesized) in layers.iter_mut().zip(slots) {
         if let Some(work) = synthesized.into_inner() {
             *layer = Some(Arc::new(work?));
@@ -1162,10 +1144,10 @@ fn synthesize_layers(
 /// Stage 2, dispatch. Every (layer, phase, pair) of a fresh layer becomes
 /// one job, in serial simulation order; with the analytic tier on, pairs
 /// whose machine has a closed form (byte-identical by the golden proptests)
-/// are answered here instead. The jobs are dealt to per-worker deques in
-/// contiguous chunks, so a worker runs one layer's like-shaped pairs back
-/// to back with its [`SimScratch`] warm, and run on the work-stealing pool
-/// ([`run_worker`]) beside the watchdog when a pair budget is set.
+/// are answered here instead. The jobs run on a pool ([`run_pool`]) of
+/// workers ([`run_worker`]) that claim them in runs of [`CLAIM`] from one
+/// cursor, beside the watchdog when a pair budget is set. No pool has more
+/// workers than there are runs to claim.
 fn dispatch<S: ConvSim + Sync + ?Sized>(
     pe: &S,
     net: &NetworkModel,
@@ -1201,18 +1183,7 @@ fn dispatch<S: ConvSim + Sync + ?Sized>(
             }
         }
     }
-    let workers = settings.threads.clamp(1, jobs.len().max(1));
-    let chunk = jobs.len().div_ceil(workers).max(1);
-    let deques: Vec<Deque> = jobs
-        .chunks(chunk)
-        .map(|dealt| dealt.iter().copied().collect::<VecDeque<_>>())
-        .chain(std::iter::repeat_with(VecDeque::new))
-        .take(workers)
-        .map(|jobs| Deque {
-            dealt: jobs.len() as u64,
-            jobs: Mutex::new(jobs),
-        })
-        .collect();
+    let workers = settings.threads.clamp(1, jobs.len().div_ceil(CLAIM).max(1));
     let layer_remaining: Vec<AtomicU64> = (0..layers.len()).map(|_| AtomicU64::new(0)).collect();
     let progress = settings.progress.then(|| {
         for task in &jobs {
@@ -1249,96 +1220,92 @@ fn dispatch<S: ConvSim + Sync + ?Sized>(
         layers,
         settings,
         run_start,
-        deques,
+        jobs,
+        cursor: AtomicUsize::new(0),
         watch: (0..workers).map(|_| WatchSlot::default()).collect(),
         profile_slices: settings.telemetry && ant_obs::timeline::enabled(),
         progress,
         layer_remaining,
     };
-    // The calling thread is worker 0; only workers 1.. and the watchdog are
-    // spawned, so a single worker with no watchdog runs entirely inline.
-    // The watchdog runs until its stop sender drops, after the join.
-    // Spawned workers enter the caller's open spans, so every
-    // `steal_worker` span has the same path.
-    let context = &ant_obs::span_context();
-    let joined: Vec<std::thread::Result<WorkerOutput>> = std::thread::scope(|scope| {
+    let watchdog = settings.budget_us.map(|budget| {
+        let tick = Duration::from_micros((budget / 4).clamp(1_000, 50_000));
         let pool = &pool;
-        let stop_watchdog = settings.budget_us.map(|budget| {
+        move |stopped| watchdog_loop(stopped, &pool.watch, &pool.run_start, budget, tick)
+    });
+    let outputs = run_pool(workers, watchdog.as_ref().map(|w| w as _), |me| {
+        run_worker(&pool, me)
+    })?;
+    Ok(Dispatched {
+        outputs,
+        analytic,
+        analytic_pairs,
+        jobs: pool.jobs.len(),
+        workers,
+        progress: pool.progress,
+    })
+}
+
+/// Runs `work(me)` for workers `me` in `0..workers` and returns their
+/// outputs, worker 0's first. The calling thread is worker 0, so one
+/// worker with no watchdog spawns nothing (thread spawns dominate
+/// sub-millisecond work). Workers 1.. are spawned and enter the caller's
+/// open spans, so a span opened in `work` has one path whichever thread
+/// runs it. `watchdog`, if any, runs on its own thread beside the workers
+/// until its receiver disconnects, once every worker has returned.
+///
+/// # Errors
+///
+/// [`AntError::Panic`] when a worker panicked: `work` isolates its own
+/// jobs, so this is a panic outside that isolation.
+fn run_pool<T: Send>(
+    workers: usize,
+    watchdog: Option<&(dyn Fn(mpsc::Receiver<()>) + Sync)>,
+    work: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, AntError> {
+    let context = &ant_obs::span_context();
+    let work = &work;
+    let joined: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
+        let stop_watchdog = watchdog.map(|watchdog| {
             let (stop, stopped) = mpsc::channel();
-            let tick = Duration::from_micros((budget / 4).clamp(1_000, 50_000));
-            scope.spawn(move || watchdog_loop(stopped, &pool.watch, &pool.run_start, budget, tick));
+            scope.spawn(move || watchdog(stopped));
             stop
         });
         let handles: Vec<_> = (1..workers)
             .map(|me| {
                 scope.spawn(move || {
                     let _entered = context.enter();
-                    run_worker(pool, me)
+                    work(me)
                 })
             })
             .collect();
-        let mut joined = vec![catch_unwind(AssertUnwindSafe(|| run_worker(pool, 0)))];
+        let mut joined = vec![catch_unwind(AssertUnwindSafe(|| work(0)))];
         joined.extend(handles.into_iter().map(|h| h.join()));
         drop(stop_watchdog);
         joined
     });
-    let outputs = joined
+    joined
         .into_iter()
-        .map(|j| j.map_err(|payload| AntError::from_panic("steal worker", payload.as_ref())))
-        .collect::<Result<_, _>>()?;
-    Ok(Dispatched {
-        outputs,
-        analytic,
-        analytic_pairs,
-        jobs: jobs.len(),
-        workers,
-        progress: pool.progress,
-    })
+        .map(|j| j.map_err(|payload| AntError::from_panic("pool worker", payload.as_ref())))
+        .collect()
 }
 
 impl<S: ?Sized> Pool<'_, S> {
-    /// Worker `me`'s next job: the front of its own deque, else the back of
-    /// another's — the work that deque's owner is furthest from reaching.
-    /// Returns the job, whether it was stolen, and the length of `me`'s own
-    /// deque right after the claim. `None` means the pool is drained for
-    /// good: no job is pushed after the deal, so one empty scan suffices.
-    fn next_task(&self, me: usize, t: &mut WorkerTelemetry) -> Option<(PairTask, bool, u64)> {
-        // A worker that caught a panic may have poisoned a deque lock
-        // mid-pop on older toolchains; the deque holds Copy tasks, so
-        // recovering the guard is always safe.
-        let (own, own_len) = {
-            let mut deque = self.deques[me]
-                .jobs
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            (deque.pop_front(), deque.len() as u64)
-        };
-        if let Some(task) = own {
-            return Some((task, false, own_len));
-        }
-        let workers = self.deques.len();
-        (1..workers).find_map(|off| {
-            let victim = &self.deques[(me + off) % workers];
-            let task = victim
-                .jobs
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .pop_back();
-            t.steal_attempts += 1;
-            t.failed_steals += u64::from(task.is_none());
-            t.stolen += u64::from(task.is_some());
-            task.map(|task| (task, true, 0))
-        })
+    /// The next run of up to [`CLAIM`] consecutive unclaimed jobs, empty
+    /// once the pool is drained for good (no job is added after the start).
+    fn next_run(&self) -> &[PairTask] {
+        let len = self.jobs.len();
+        let start = self.cursor.fetch_add(CLAIM, Ordering::Relaxed).min(len);
+        &self.jobs[start..len.min(start + CLAIM)]
     }
 }
 
 /// One pool worker. Each job runs behind `catch_unwind`: a failed job is
 /// retried once on a fresh scratch arena, then quarantined. Raw pair
 /// counters fold into per-(layer, phase) partials; they are `u64` sums, so
-/// steal order cannot change the result.
+/// which worker claims which run cannot change the result.
 fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> WorkerOutput {
     let worker_started = Instant::now();
-    let mut worker_span = ant_obs::span("steal_worker");
+    let mut worker_span = ant_obs::span("pair_worker");
     worker_span.record("worker", me);
     let settings = &pool.settings;
     let mut scratch = SimScratch::new();
@@ -1351,11 +1318,12 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
         skipped: Vec::new(),
         telemetry: WorkerTelemetry {
             worker: me,
-            dealt: pool.deques[me].dealt,
             ..WorkerTelemetry::default()
         },
     };
-    while let Some((task, was_stolen, own_len)) = pool.next_task(me, &mut out.telemetry) {
+    // Claim runs until the cursor passes the last job.
+    let runs = std::iter::from_fn(|| Some(pool.next_run()).filter(|run| !run.is_empty()));
+    for &task in runs.flatten() {
         // Job-level deadline: cancellation happens only at this pair-job
         // boundary (a running pair holds no cancellable resources, same
         // contract as the watchdog). Remaining jobs drain unexecuted; their
@@ -1418,8 +1386,6 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
                     layer: task.layer,
                     phase: task.phase,
                     pair: task.pair,
-                    stolen: was_stolen,
-                    deque_len: own_len,
                 });
             }
         }
@@ -1471,13 +1437,10 @@ fn run_worker<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>, me: usize) -> Work
     }
     if worker_span.is_recording() {
         worker_span.record("jobs_executed", t.executed);
-        worker_span.record("jobs_stolen", t.stolen);
         worker_span.record("jobs_failed", out.failures.len());
         if settings.telemetry {
             worker_span.record("busy_ns", t.busy_ns);
             worker_span.record("idle_ns", t.idle_ns);
-            worker_span.record("steal_attempts", t.steal_attempts);
-            worker_span.record("failed_steals", t.failed_steals);
         }
     }
     out
@@ -1496,8 +1459,8 @@ fn merge<S: ConvSim + ?Sized>(
     dispatched: &Dispatched,
     mut checkpoint: Option<&mut dyn LayerCheckpoint>,
 ) -> NetworkResult {
-    // Worker attribution depends on steal order, but the set of failed jobs
-    // does not, so sorting by job coordinates makes the report
+    // Worker attribution depends on which worker claimed which run, but the
+    // set of failed jobs does not, so sorting by job coordinates makes the report
     // reproducible for any thread count.
     let mut report = FailureReport::default();
     let mut skipped_layers = BTreeSet::new();
@@ -1660,16 +1623,6 @@ fn record_worker_metrics(workers: &[WorkerTelemetry]) {
         registry
             .histogram("runner.worker.utilization")
             .record(t.utilization());
-        registry
-            .histogram("runner.worker.deque_hwm")
-            .record(t.dealt as f64);
-        registry.counter("runner.worker.steals").add(t.stolen);
-        registry
-            .counter("runner.worker.steal_attempts")
-            .add(t.steal_attempts);
-        registry
-            .counter("runner.worker.steal_failures")
-            .add(t.failed_steals);
     }
 }
 
@@ -1840,9 +1793,8 @@ fn content_cache_key(machine_identity: &str, work: &LayerWork) -> CacheKey {
 
 /// Synthesizes one layer's [`LayerWork`] under a `synthesize_layer` span.
 /// The RNG seed derives from `cfg.seed` and the layer index alone, so any
-/// execution order (serial, chunked, work-stealing) sees identical
-/// operands. Panics inside synthesis come back as typed errors tagged with
-/// the layer.
+/// execution order (serial or pooled) sees identical operands. Panics
+/// inside synthesis come back as typed errors tagged with the layer.
 fn synthesize_layer_work(
     layer: &ant_workloads::ConvLayerSpec,
     layer_index: usize,
@@ -1876,9 +1828,8 @@ fn synthesize_layer_work(
 }
 
 /// Applies the per-phase start-up clamp and channel scaling to raw
-/// accumulated pair counters. Shared by the serial and work-stealing
-/// runners: this is the single definition of the sampled-to-full-layer
-/// accounting.
+/// accumulated pair counters. Shared by the serial and pooled runners:
+/// this is the single definition of the sampled-to-full-layer accounting.
 ///
 /// Image-stationary reuse (paper Sections 2.3 and 6.1): the resident image
 /// plane is held while every kernel matrix streams past, so the five-cycle
@@ -2207,9 +2158,9 @@ mod tests {
                     assert_eq!(a.phases, b.phases, "{label} layer {}", a.name);
                 }
             };
-            // The work-stealing scheduler must be bit-identical for one
-            // worker, an even count, odd counts, and far more workers than
-            // layers (forcing heavy stealing and partial deques).
+            // The pool must be bit-identical for one worker, an even count,
+            // odd counts, and far more workers than layers (forcing a final
+            // partial run and workers that claim nothing).
             for threads in [1, 2, 3, 7, 64] {
                 let opts = RunOptions {
                     threads: Some(threads),
@@ -2302,7 +2253,8 @@ mod tests {
             ..ExperimentConfig::paper_default()
         };
         let net = tiny_net();
-        // 2 layers x 3 phases x (2x2 sampled pairs) = 24 jobs.
+        // 2 layers x 3 phases x (2x2 sampled pairs) = 24 jobs: one full run
+        // of CLAIM and a partial one, so no more than 2 workers.
         let expected_jobs = 24u64;
         for threads in [1usize, 3, 16] {
             let opts = RunOptions {
@@ -2314,7 +2266,7 @@ mod tests {
                 try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts)
                     .unwrap();
             let workers = &result.workers;
-            assert_eq!(workers.len(), threads.min(expected_jobs as usize));
+            assert_eq!(workers.len(), threads.min(2), "threads={threads}");
             // Worker indices are dense and ordered.
             for (i, t) in workers.iter().enumerate() {
                 assert_eq!(t.worker, i);
@@ -2322,21 +2274,16 @@ mod tests {
                 assert!(t.busy_ns <= t.wall_ns, "worker {i} busy <= wall");
                 assert_eq!(t.idle_ns, t.wall_ns - t.busy_ns, "worker {i} idle");
                 assert!(t.utilization() >= 0.0 && t.utilization() <= 1.0);
-                // A successful steal is an attempt; failures are the rest.
-                assert!(t.stolen + t.failed_steals == t.steal_attempts, "worker {i}");
                 // ANT_PROFILE is not on in tests, so no slices are kept.
                 assert!(t.slices.is_empty(), "worker {i} slices");
             }
-            // Every job is executed exactly once, and the deal covers the
-            // whole pool.
+            // Every job is executed exactly once: no run is claimed twice
+            // or overlaps another, and the final partial run is not lost.
             assert_eq!(
                 workers.iter().map(|t| t.executed).sum::<u64>(),
-                expected_jobs
+                expected_jobs,
+                "threads={threads}"
             );
-            assert_eq!(workers.iter().map(|t| t.dealt).sum::<u64>(), expected_jobs);
-            // Executed = dealt kept + stolen (globally).
-            let stolen: u64 = workers.iter().map(|t| t.stolen).sum();
-            assert!(stolen <= expected_jobs);
         }
         // Telemetry off: no worker records at all.
         let off = try_simulate_network_parallel(
@@ -2374,7 +2321,7 @@ mod tests {
         let snapshot = registry.snapshot();
         assert!(snapshot
             .iter()
-            .any(|(k, _)| k == "runner.worker.deque_hwm.count"));
+            .any(|(k, _)| k == "runner.worker.executed.count"));
         assert!(!snapshot.iter().any(|(k, _)| k.contains("worker.0.")));
     }
 

@@ -2,7 +2,7 @@
 //! bounded retry, deadlines, and crash recovery.
 //!
 //! One scheduler thread drains the [`FairQueue`] one job at a time (each
-//! job already fans out across the work-stealing runner). Every attempt
+//! job already fans out across the runner's worker pool). Every attempt
 //! runs under `catch_unwind`: a panicking job is retried up to
 //! `max_attempts` times with deterministic exponential backoff + jitter
 //! (a pure function of `(seed, seq, attempt)`, so tests can pin the exact

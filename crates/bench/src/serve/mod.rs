@@ -1,6 +1,6 @@
 //! `ant-sweepd`: a fault-tolerant, multi-tenant sweep service.
 //!
-//! The `sweepd` binary wraps the work-stealing runner in a long-lived,
+//! The `sweepd` binary wraps the pooled runner in a long-lived,
 //! std-only HTTP/JSONL daemon:
 //!
 //! - [`spec`] — validated job specifications ([`JobSpec`]): model, machine

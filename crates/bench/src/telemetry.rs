@@ -1,17 +1,16 @@
-//! Scheduler-telemetry export: per-worker Perfetto tracks and the
-//! manifest `host`-section worker table.
+//! Pool-telemetry export: per-worker Perfetto tracks and the manifest
+//! `host`-section worker table.
 //!
-//! The work-stealing runner ([`crate::runner`]) collects one
+//! The runner's pair pool ([`crate::runner`]) collects one
 //! [`WorkerTelemetry`] per OS worker when `ANT_TELEMETRY` is on. This
 //! module turns those counters into the two sinks observers read:
 //!
 //! * [`add_worker_tracks`] — host-time tracks in the existing Perfetto
-//!   timeline exporter: one span track per worker (slices named `pair`,
-//!   or `steal` for jobs taken from another worker's deque) plus a deque-
-//!   depth counter track, all in **wall microseconds** since the sweep
-//!   started. Host tracks live in their own process (`pid`) so they never
-//!   mix with the simulated-cycle PE tracks (1 cycle = 1 µs) — the time
-//!   bases are different.
+//!   timeline exporter: one span track per worker with one `pair` slice
+//!   per job, in **wall microseconds** since the sweep started. Host
+//!   tracks live in their own process (`pid`) so they never mix with the
+//!   simulated-cycle PE tracks (1 cycle = 1 µs) — the time bases are
+//!   different.
 //! * [`WorkerTable`] — a per-worker utilization table accumulated across
 //!   every run of a sweep (fig09 runs 2 machines x 5 networks), folded
 //!   into the run manifest's `host` section as `worker.NN.*` entries.
@@ -38,11 +37,9 @@ fn pad(worker: usize, total: usize) -> String {
 }
 
 /// Adds one process of per-worker tracks to `timeline`: for each worker a
-/// span track (`worker NN`) carrying one slice per executed job — named
-/// `steal` when the job was taken from another worker's deque, `pair`
-/// otherwise, with layer/phase/pair indices in the args — and a counter
-/// track (`deque wNN`) sampling the worker's own deque depth at each job
-/// start. Sub-microsecond jobs are clamped to 1 µs so they stay visible.
+/// span track (`worker NN`, thread id = worker index) carrying one `pair`
+/// slice per executed job, with layer/phase/pair indices in the args.
+/// Sub-microsecond jobs are clamped to 1 µs so they stay visible.
 ///
 /// Workers without recorded slices still get named tracks (an idle worker
 /// is a finding, not an artifact); with `workers` empty the timeline is
@@ -58,17 +55,14 @@ pub fn add_worker_tracks(
     }
     timeline.process_name(pid, label);
     for w in workers {
+        let tid = w.worker as u64;
         let name = pad(w.worker, workers.len());
-        // Even tids carry job spans, odd tids the deque counter, so each
-        // worker's pair of tracks stays adjacent and ordered.
-        let span_tid = (w.worker as u64) * 2;
-        timeline.thread_name(pid, span_tid, &format!("worker {name}"));
-        timeline.thread_name(pid, span_tid + 1, &format!("deque w{name}"));
+        timeline.thread_name(pid, tid, &format!("worker {name}"));
         for s in &w.slices {
             timeline.slice_with_args(
                 pid,
-                span_tid,
-                if s.stolen { "steal" } else { "pair" },
+                tid,
+                "pair",
                 "host-us",
                 s.start_us,
                 s.dur_us.max(1),
@@ -77,13 +71,6 @@ pub fn add_worker_tracks(
                     ("phase".to_string(), Value::U64(s.phase as u64)),
                     ("pair".to_string(), Value::U64(s.pair as u64)),
                 ],
-            );
-            timeline.counter(
-                pid,
-                span_tid + 1,
-                &format!("deque w{name}"),
-                s.start_us,
-                s.deque_len,
             );
         }
     }
@@ -99,7 +86,6 @@ pub struct WorkerTable {
 #[derive(Debug, Clone, Copy, Default)]
 struct Row {
     executed: u64,
-    stolen: u64,
     busy_ns: u64,
     idle_ns: u64,
 }
@@ -125,17 +111,16 @@ impl WorkerTable {
             }
             let row = &mut self.rows[w.worker];
             row.executed += w.executed;
-            row.stolen += w.stolen;
             row.busy_ns += w.busy_ns;
             row.idle_ns += w.idle_ns;
         }
     }
 
     /// The `host`-section entries: for each worker `NN`, `worker.NN.jobs`,
-    /// `.stolen`, `.busy_us`, `.idle_us`, and `.utilization`
-    /// (busy / (busy + idle) over the whole sweep).
+    /// `.busy_us`, `.idle_us`, and `.utilization` (busy / (busy + idle)
+    /// over the whole sweep).
     pub fn host_stats(&self) -> Vec<(String, Value)> {
-        let mut out = Vec::with_capacity(self.rows.len() * 5);
+        let mut out = Vec::with_capacity(self.rows.len() * 4);
         for (worker, row) in self.rows.iter().enumerate() {
             let name = pad(worker, self.rows.len());
             let wall = row.busy_ns + row.idle_ns;
@@ -145,7 +130,6 @@ impl WorkerTable {
                 0.0
             };
             out.push((format!("worker.{name}.jobs"), Value::U64(row.executed)));
-            out.push((format!("worker.{name}.stolen"), Value::U64(row.stolen)));
             out.push((
                 format!("worker.{name}.busy_us"),
                 Value::U64(row.busy_ns / 1_000),
@@ -250,15 +234,13 @@ mod tests {
         }
     }
 
-    fn slice(start_us: u64, dur_us: u64, stolen: bool, deque_len: u64) -> JobSlice {
+    fn slice(start_us: u64, dur_us: u64) -> JobSlice {
         JobSlice {
             start_us,
             dur_us,
             layer: 1,
             phase: 2,
             pair: 3,
-            stolen,
-            deque_len,
         }
     }
 
@@ -270,8 +252,8 @@ mod tests {
             9,
             "host workers",
             &[
-                worker(0, vec![slice(0, 40, false, 5)]),
-                worker(1, vec![slice(3, 20, true, 0)]),
+                worker(0, vec![slice(0, 40)]),
+                worker(1, vec![slice(3, 20)]),
                 worker(2, vec![]),
             ],
         );
@@ -291,72 +273,51 @@ mod tests {
                 )
             })
             .collect();
-        // Two tracks per worker, tids strictly increasing, zero-padded names.
+        // One track per worker, tids strictly increasing, zero-padded names.
         assert_eq!(
             thread_names,
             vec![
                 (0, "worker 00".to_string()),
-                (1, "deque w00".to_string()),
-                (2, "worker 01".to_string()),
-                (3, "deque w01".to_string()),
-                (4, "worker 02".to_string()),
-                (5, "deque w02".to_string()),
+                (1, "worker 01".to_string()),
+                (2, "worker 02".to_string()),
             ]
         );
-        // Idle worker 2 still got named tracks but no slices on them.
+        // Idle worker 2 still got a named track but no slices on it.
         assert!(!events
             .iter()
             .any(|e| e.get("ph").and_then(Json::as_str) == Some("X")
-                && e.get("tid").and_then(Json::as_u64) == Some(4)));
+                && e.get("tid").and_then(Json::as_u64) == Some(2)));
     }
 
     #[test]
-    fn stolen_jobs_are_labelled_and_counters_interleave() {
+    fn jobs_are_pair_slices_and_zero_durations_clamp_to_one_us() {
         let mut t = Timeline::new();
         add_worker_tracks(
             &mut t,
             9,
             "host workers",
-            &[worker(
-                0,
-                vec![slice(0, 40, false, 5), slice(40, 0, true, 0)],
-            )],
+            &[worker(0, vec![slice(0, 40), slice(40, 0)])],
         );
         let json = parse_json(&t.to_json()).expect("valid JSON");
         let events = json.get("traceEvents").and_then(Json::as_array).unwrap();
-        // Per-job pattern after the metadata: span, counter, span, counter.
+        // Process and thread metadata, then one slice per job.
         let phases: Vec<&str> = events
             .iter()
             .map(|e| e.get("ph").and_then(Json::as_str).unwrap())
             .collect();
-        assert_eq!(phases, ["M", "M", "M", "X", "C", "X", "C"]);
-        let span_names: Vec<&str> = events
+        assert_eq!(phases, ["M", "M", "X", "X"]);
+        let slices: Vec<(&str, u64)> = events
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .map(|e| e.get("name").and_then(Json::as_str).unwrap())
-            .collect();
-        assert_eq!(span_names, ["pair", "steal"]);
-        // The zero-duration stolen job was clamped to 1 µs, not dropped.
-        let stolen = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("steal"))
-            .unwrap();
-        assert_eq!(stolen.get("dur").and_then(Json::as_u64), Some(1));
-        // Counters sample the deque depth at each job start.
-        let counter_values: Vec<(u64, u64)> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
             .map(|e| {
                 (
-                    e.get("ts").and_then(Json::as_u64).unwrap(),
-                    e.get("args")
-                        .and_then(|a| a.get("value"))
-                        .and_then(Json::as_u64)
-                        .unwrap(),
+                    e.get("name").and_then(Json::as_str).unwrap(),
+                    e.get("dur").and_then(Json::as_u64).unwrap(),
                 )
             })
             .collect();
-        assert_eq!(counter_values, [(0, 5), (40, 0)]);
+        // The zero-duration job was clamped to 1 µs, not dropped.
+        assert_eq!(slices, [("pair", 40), ("pair", 1)]);
     }
 
     #[test]
@@ -380,7 +341,6 @@ mod tests {
         let mut w0 = WorkerTelemetry {
             worker: 0,
             executed: 10,
-            stolen: 2,
             busy_ns: 3_000_000,
             idle_ns: 1_000_000,
             ..WorkerTelemetry::default()
@@ -388,7 +348,6 @@ mod tests {
         let w1 = WorkerTelemetry {
             worker: 1,
             executed: 8,
-            stolen: 0,
             busy_ns: 2_000_000,
             idle_ns: 2_000_000,
             ..WorkerTelemetry::default()
@@ -396,13 +355,12 @@ mod tests {
         table.add(&[w0.clone(), w1]);
         // Second run: only worker 0 (fewer workers is fine).
         w0.executed = 5;
-        w0.stolen = 1;
         w0.busy_ns = 1_000_000;
         w0.idle_ns = 0;
         table.add(&[w0]);
         assert!(!table.is_empty());
         let stats = table.host_stats();
-        assert_eq!(stats.len(), 10);
+        assert_eq!(stats.len(), 8);
         let get = |key: &str| {
             stats
                 .iter()
@@ -411,7 +369,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {key}"))
         };
         assert_eq!(get("worker.00.jobs"), Value::U64(15));
-        assert_eq!(get("worker.00.stolen"), Value::U64(3));
         assert_eq!(get("worker.00.busy_us"), Value::U64(4_000));
         assert_eq!(get("worker.00.idle_us"), Value::U64(1_000));
         assert_eq!(get("worker.01.jobs"), Value::U64(8));

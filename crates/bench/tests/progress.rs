@@ -50,7 +50,8 @@ fn progress_reporter_writes_final_status_file() {
     assert_eq!(json.get("state").and_then(Json::as_str), Some("done"));
     assert_eq!(json.get("network").and_then(Json::as_str), Some("tiny"));
     assert_eq!(json.get("machine").and_then(Json::as_str), Some("SCNN+"));
-    assert_eq!(json.get("threads").and_then(Json::as_u64), Some(3));
+    // 24 jobs are one full run of 16 and a partial one: two workers.
+    assert_eq!(json.get("threads").and_then(Json::as_u64), Some(2));
     // 2 layers x 3 phases x (2x2 sampled pairs) = 24 jobs, all completed.
     assert_eq!(json.get("pairs_total").and_then(Json::as_u64), Some(24));
     assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(24));

@@ -46,14 +46,14 @@ fn a_traced_two_thread_run_has_one_path_per_span_name() {
             .or_default()
             .insert(path.to_string());
     }
-    for name in ["synthesize_layer", "derive_planes", "steal_worker"] {
+    for name in ["synthesize_layer", "derive_planes", "pair_worker"] {
         assert!(paths.contains_key(name), "no {name} span in {paths:?}");
     }
     for (name, set) in &paths {
         assert_eq!(set.len(), 1, "span {name} has several paths: {set:?}");
     }
     assert_eq!(
-        paths["steal_worker"].iter().next().unwrap(),
-        "experiment/network/steal_worker"
+        paths["pair_worker"].iter().next().unwrap(),
+        "experiment/network/pair_worker"
     );
 }

@@ -196,24 +196,6 @@ impl Timeline {
         });
     }
 
-    /// Records one counter sample: Chrome Trace "ph":"C" events render as a
-    /// filled area chart on their own track named `name`, with one series
-    /// per `args` key (here a single `value` series). Counters sit next to
-    /// slice tracks in the same process, which is how the scheduler exposes
-    /// per-worker deque depth alongside the per-job spans.
-    pub fn counter(&mut self, pid: u64, tid: u64, name: &str, ts: u64, value: u64) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: "counter",
-            ph: "C",
-            ts: Some(ts),
-            dur: None,
-            pid,
-            tid,
-            args: vec![("value".to_string(), Value::U64(value))],
-        });
-    }
-
     /// Serializes the whole timeline as one Chrome Trace Event JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 96);
@@ -305,46 +287,6 @@ mod tests {
                 other => panic!("unexpected phase {other}"),
             }
         }
-    }
-
-    #[test]
-    fn counter_events_carry_timestamp_and_value() {
-        let mut t = Timeline::new();
-        t.counter(1, 0, "worker 00 deque", 10, 7);
-        t.counter(1, 0, "worker 00 deque", 20, 3);
-        let json = parse(&t.to_json()).expect("valid JSON");
-        let events = json.get("traceEvents").and_then(Json::as_array).unwrap();
-        assert_eq!(events.len(), 2);
-        for (event, (ts, value)) in events.iter().zip([(10, 7), (20, 3)]) {
-            assert_eq!(event.get("ph").and_then(Json::as_str), Some("C"));
-            assert_eq!(event.get("ts").and_then(Json::as_u64), Some(ts));
-            assert_eq!(
-                event
-                    .get("args")
-                    .and_then(|a| a.get("value"))
-                    .and_then(Json::as_u64),
-                Some(value)
-            );
-            assert!(event.get("dur").is_none());
-        }
-    }
-
-    #[test]
-    fn counters_interleave_with_slices_in_one_process() {
-        let mut t = Timeline::new();
-        t.process_name(2, "host workers");
-        t.thread_name(2, 0, "worker 00");
-        t.slice(2, 0, "pair", "host", 0, 40);
-        t.counter(2, 0, "worker 00 deque", 0, 5);
-        t.slice(2, 0, "pair", "host", 40, 30);
-        t.counter(2, 0, "worker 00 deque", 40, 4);
-        let json = parse(&t.to_json()).expect("valid JSON");
-        let events = json.get("traceEvents").and_then(Json::as_array).unwrap();
-        let phases: Vec<_> = events
-            .iter()
-            .map(|e| e.get("ph").and_then(Json::as_str).unwrap().to_string())
-            .collect();
-        assert_eq!(phases, ["M", "M", "X", "C", "X", "C"]);
     }
 
     #[test]

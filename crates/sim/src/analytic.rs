@@ -9,7 +9,7 @@
 //!   `ant.rs`) delegate to them — one copy of the math, equal by
 //!   construction, pinned by the golden-equivalence proptests in
 //!   `tests/golden.rs`; and
-//! * the work-stealing runner can consult
+//! * the parallel runner can consult
 //!   [`ConvSim::analytic_conv_pair`](crate::accelerator::ConvSim::analytic_conv_pair)
 //!   *before* dispatching a pair job and skip scheduling entirely when the
 //!   machine's result is closed-form (dense inner-product, TensorDash).

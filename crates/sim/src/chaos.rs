@@ -23,8 +23,8 @@
 //! Faults are a **pure function** of `(seed, layer, phase, pair, attempt)`
 //! (pair faults), `(seed, domain, index)` (IO faults), or
 //! `(seed, job, attempt)` (service faults): the same configuration injects
-//! exactly the same faults regardless of thread count, steal order, or
-//! wall-clock time. Tests can therefore compute the expected quarantine set
+//! exactly the same faults regardless of thread count, which worker runs
+//! which pair, or wall-clock time. Tests can therefore compute the expected quarantine set
 //! up front by calling [`ChaosConfig::fault_for`] themselves. Including the
 //! retry attempt in the hash means a fault can be configured to strike the
 //! first attempt but spare the retry (or strike both), so both the
