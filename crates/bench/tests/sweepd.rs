@@ -168,6 +168,13 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         );
         assert_eq!(code, 400, "unknown machine must 400: {body}");
         assert!(body.contains("machines"), "error names the field: {body}");
+        // 10,000 nested arrays (20 KB): a parser that recursed without a
+        // bound would overflow the listener thread's stack and end the
+        // daemon. They are a bad spec, and the daemon stays up.
+        let deep = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+        let (code, body) = post_job(&base, &deep);
+        assert_eq!(code, 400, "deep nesting must 400: {body}");
+        assert!(body.contains("\"kind\":\"invalid_spec\""), "{body}");
         let (code, body) = get(&base, "/healthz");
         assert_eq!((code, body.trim()), (200, "ok"));
         let (code, _) = get(&base, "/nope");

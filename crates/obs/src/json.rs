@@ -235,6 +235,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
         source: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -245,10 +246,18 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a few kilobytes of `[`
+/// overflow a thread's stack (10,000 levels abort a default 2 MiB thread);
+/// the repo's own documents nest at most 5 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     source: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -289,8 +298,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') | Some(b'f') => {
                 if self.eat_literal("true") {
@@ -499,6 +519,20 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "tru", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let error = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH);
+        assert_eq!(error.message, "nesting deeper than 128 levels");
+        // Far past the bound, unclosed, and through objects too: an error,
+        // not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&nested(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
