@@ -174,7 +174,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         Ok(v) => v.map(PathBuf::from),
         Err(e) => return fail(&e),
     };
-    let entries = match history::load_lenient(&path) {
+    let entries = match history::load(&path) {
         Ok((entries, skipped)) => {
             if skipped > 0 {
                 eprintln!(
@@ -275,7 +275,7 @@ fn cmd_list(args: &[String]) -> ExitCode {
     if !args.is_empty() {
         return fail(&format!("unexpected arguments: {args:?}"));
     }
-    let (entries, skipped) = match history::load_lenient(&path) {
+    let (entries, skipped) = match history::load(&path) {
         Ok((entries, skipped)) => {
             if skipped > 0 {
                 eprintln!(

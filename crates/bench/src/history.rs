@@ -219,43 +219,16 @@ pub fn append(path: &Path, entry: &HistoryEntry) -> io::Result<()> {
     file.write_all(b"\n")
 }
 
-/// Loads every entry from the ledger at `path`, oldest first. A missing
-/// file is an empty ledger, not an error; a malformed line is an error
-/// naming the line number.
-///
-/// # Errors
-///
-/// Propagates read failures; malformed lines map to `InvalidData`.
-pub fn load(path: &Path) -> io::Result<Vec<HistoryEntry>> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(err) => return Err(err),
-    };
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(HistoryEntry::parse(line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}:{}: {e}", path.display(), i + 1),
-            )
-        })?);
-    }
-    Ok(out)
-}
-
-/// Like [`load`], but a corrupt or truncated line (a killed run can leave
-/// a partial last line) is skipped instead of failing the whole ledger.
-/// Returns the usable entries plus the number of lines skipped; each skip
-/// is warned about on stderr with its line number.
+/// Loads every usable entry from the ledger at `path`, oldest first. A
+/// missing file is an empty ledger, not an error. A corrupt or truncated
+/// line (a killed run can leave a partial last line) is skipped instead of
+/// failing the whole ledger. Returns the usable entries plus the number of
+/// lines skipped; each skip is warned about on stderr with its line number.
 ///
 /// # Errors
 ///
 /// Propagates read failures only — bad content never errors.
-pub fn load_lenient(path: &Path) -> io::Result<(Vec<HistoryEntry>, usize)> {
+pub fn load(path: &Path) -> io::Result<(Vec<HistoryEntry>, usize)> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
@@ -281,7 +254,7 @@ pub fn load_lenient(path: &Path) -> io::Result<(Vec<HistoryEntry>, usize)> {
 /// Serializes a ledger listing under the [`LIST_SCHEMA`] JSON schema
 /// (`bench_history list --json`): entry index, identity, and metric count
 /// per entry — the machine-readable face of the human `list` lines.
-/// `skipped` is the unusable-line count from [`load_lenient`].
+/// `skipped` is the unusable-line count from [`load`].
 pub fn list_json(entries: &[HistoryEntry], skipped: usize) -> String {
     let mut out = String::with_capacity(64 + entries.len() * 128);
     let _ = write!(

@@ -653,8 +653,8 @@ mod tests {
         history::append(&ledger, &base).expect("append baseline");
         history::append(&ledger, &slow).expect("append candidate");
 
-        let entries = history::load(&ledger).expect("load ledger");
-        assert_eq!(entries.len(), 2);
+        let (entries, skipped) = history::load(&ledger).expect("load ledger");
+        assert_eq!((entries.len(), skipped), (2, 0));
         let report = compare(&entries[0], &entries[1], DEFAULT_THRESHOLD);
         let regs = report.regressions();
         assert_eq!(regs.len(), 1, "exactly the slowed kernel regresses");
