@@ -2247,6 +2247,35 @@ mod tests {
     }
 
     #[test]
+    fn the_pool_returns_outputs_in_worker_order_and_panics_as_errors() {
+        // The watchdog blocks until its receiver disconnects, which happens
+        // only after every worker has returned.
+        let workers_done = AtomicUsize::new(0);
+        let watchdog = |stopped: mpsc::Receiver<()>| {
+            assert!(stopped.recv().is_err());
+            assert_eq!(workers_done.load(Ordering::SeqCst), 3);
+        };
+        let outputs = run_pool(3, Some(&watchdog), |me| {
+            workers_done.fetch_add(1, Ordering::SeqCst);
+            me * 10
+        })
+        .unwrap();
+        assert_eq!(outputs, [0, 10, 20]);
+        // A panic outside any job's isolation, on the calling thread (one
+        // worker) or a spawned one, comes back as a typed error.
+        for workers in [1, 3] {
+            let error = run_pool(workers, None, |me| {
+                assert!(me + 1 < workers, "worker {me} dies");
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&error, AntError::Panic { context, .. } if context == "pool worker"),
+                "{error}"
+            );
+        }
+    }
+
+    #[test]
     fn worker_telemetry_accounts_for_every_job() {
         let cfg = ExperimentConfig {
             max_channels: 2,
